@@ -22,7 +22,6 @@ from .compat import (
 )
 from .construct import (
     ConstructionError,
-    ConstructionFailedError,
     ConstructSpec,
     InfeasibleError,
     NotBipartiteError,

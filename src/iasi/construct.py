@@ -1,11 +1,11 @@
 """Builders that realize each labeling class on a given graph.
 
-First terms come from a deterministic seed-driven pool whose spacing
-doubles at every step.  Pairwise sums of pool values are then all
-distinct, so vertex labels and induced edge labels are injective by
-construction; a repair pass still certifies every output and, on any
-collision (possible only with a caller-supplied pool), bumps the
-later-numbered vertex to the next pool value, up to a retry cap.
+Vertex v takes first term ``(seed mod 1000) + 2**v - 1`` from a pool
+whose spacing doubles at every step.  Pairwise sums of pool values are
+then all distinct, so vertex labels and induced edge labels are
+injective by construction.  Constructors and the exhaustive search
+alike return through one certify step, which reads the verifier's
+edge table and raises ConstructionError on any collision.
 
 All constructors are pure functions of (graph, parameters, seed).
 """
@@ -15,12 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .graphs import Bipartition, Graph, bipartition, components
-from .labeling import Labeling, edge_label
+from .graphs import Bipartition, Graph, _traverse, bipartition
+from .labeling import Labeling
 from .sets import IntSet, ap_set
 from .verify import verify_iasi
-
-RETRY_CAP = 1000
 
 
 class ConstructionError(Exception):
@@ -37,10 +35,6 @@ class RatioBoundError(ConstructionError):
 
 class InfeasibleError(ConstructionError):
     """No labeling with the requested parameters exists on this graph."""
-
-
-class ConstructionFailedError(ConstructionError):
-    """Collision repair hit the retry cap; carries the last violations."""
 
 
 class SizeLimitError(ConstructionError):
@@ -82,53 +76,19 @@ def _resolve_sizes(g: Graph, sizes: int | Sequence[int] | dict[int, int]) -> dic
     return out
 
 
-def _find_collision(g: Graph, lab: Labeling) -> Optional[tuple[int, ...]]:
-    """Vertex ids involved in the first label collision, or None."""
-    seen_v: dict[tuple[int, ...], int] = {}
-    for v in g.vertices:
-        key = lab.label(v).elems
-        if key in seen_v:
-            return (seen_v[key], v)
-        seen_v[key] = v
-    seen_e: dict[tuple[int, ...], tuple[int, int]] = {}
-    for u, v in g.edge_list():
-        key = edge_label(lab, u, v).elems
-        if key in seen_e:
-            return seen_e[key] + (u, v)
-        seen_e[key] = (u, v)
-    return None
+def _certify(g: Graph, lab: Labeling) -> Labeling:
+    """Return lab if its vertex and edge labels are injective on g."""
+    ok, violations = verify_iasi(g, lab)
+    if not ok:
+        raise ConstructionError(f"certification failed: {violations}")
+    return lab
 
 
-def _assign(
-    g: Graph,
-    diffs: dict[int, int],
-    sizes: dict[int, int],
-    seed: int,
-    first_terms: Callable[[int], int] | None,
-) -> Labeling:
-    """Assign pool first terms in vertex order, then repair collisions.
-
-    Each vertex starts at its own pool index; a collision bumps the
-    later-numbered vertex involved to the first unused index.  With the
-    default pool no collision can occur and the loop exits first pass.
-    """
-    pool = first_terms if first_terms is not None else default_first_terms(seed)
-    index = {v: v for v in g.vertices}
-    next_free = g.vertex_count
-    for _ in range(RETRY_CAP + 1):
-        lab = Labeling(
-            {v: ap_set(pool(index[v]), diffs[v], sizes[v]) for v in g.vertices}
-        )
-        clash = _find_collision(g, lab)
-        if clash is None:
-            ok, violations = verify_iasi(g, lab)
-            if not ok:  # pragma: no cover - _find_collision covers the same ground
-                raise ConstructionFailedError(f"certification failed: {violations}")
-            return lab
-        index[max(clash)] = next_free
-        next_free += 1
-    raise ConstructionFailedError(
-        f"could not make labels injective within {RETRY_CAP} retries; last collision {clash}"
+def _assign(g: Graph, diffs: dict[int, int], sizes: dict[int, int], seed: int) -> Labeling:
+    """Give vertex v pool value v as its first term, then certify."""
+    pool = default_first_terms(seed)
+    return _certify(
+        g, Labeling({v: ap_set(pool(v), diffs[v], sizes[v]) for v in g.vertices})
     )
 
 
@@ -140,27 +100,23 @@ def construct_isoarithmetic(
     diff: int = 1,
     sizes: int | Sequence[int] | dict[int, int] = 3,
     seed: int = 0,
-    first_terms: Callable[[int], int] | None = None,
 ) -> Labeling:
     """Every vertex gets the same difference; sizes may vary per vertex."""
     if diff < 1:
         raise ValueError("difference must be positive")
     size_map = _resolve_sizes(g, sizes)
-    return _assign(g, {v: diff for v in g.vertices}, size_map, seed, first_terms)
+    return _assign(g, {v: diff for v in g.vertices}, size_map, seed)
 
 
 def construct_uniform_isoarithmetic(
-    g: Graph, length: int, diff: int = 1, seed: int = 0,
-    first_terms: Callable[[int], int] | None = None,
+    g: Graph, length: int, diff: int = 1, seed: int = 0
 ) -> Labeling:
     """Shared difference and one label size everywhere."""
-    return construct_isoarithmetic(g, diff=diff, sizes=length, seed=seed,
-                                   first_terms=first_terms)
+    return construct_isoarithmetic(g, diff=diff, sizes=length, seed=seed)
 
 
 def construct_bipartite_uniform_isoarithmetic(
-    g: Graph, m: int, n: int, diff: int = 1, seed: int = 0,
-    first_terms: Callable[[int], int] | None = None,
+    g: Graph, m: int, n: int, diff: int = 1, seed: int = 0
 ) -> Labeling:
     """Size m on side x, size n on side y, one shared difference.
 
@@ -170,8 +126,7 @@ def construct_bipartite_uniform_isoarithmetic(
     if bip is None:
         raise NotBipartiteError("graph has an odd cycle")
     sizes = {v: (m if v in bip.side_x else n) for v in g.vertices}
-    return construct_isoarithmetic(g, diff=diff, sizes=sizes, seed=seed,
-                                   first_terms=first_terms)
+    return construct_isoarithmetic(g, diff=diff, sizes=sizes, seed=seed)
 
 
 # --- proper-ratio families ---------------------------------------------
@@ -192,7 +147,6 @@ def construct_identical_biarithmetic(
     diff: int = 1,
     sizes: int | tuple[int, int] | Sequence[int] | dict[int, int] = 3,
     seed: int = 0,
-    first_terms: Callable[[int], int] | None = None,
 ) -> Labeling:
     """Difference diff on side x, ratio*diff on side y: one ratio everywhere.
 
@@ -216,7 +170,7 @@ def construct_identical_biarithmetic(
             f"ratio {ratio} exceeds the smallest x-side label size {low}"
         )
     diffs = {v: (diff if v in bip.side_x else ratio * diff) for v in g.vertices}
-    return _assign(g, diffs, size_map, seed, first_terms)
+    return _assign(g, diffs, size_map, seed)
 
 
 def construct_strong_biarithmetic(
@@ -224,7 +178,6 @@ def construct_strong_biarithmetic(
     diff: int = 1,
     sizes: int | tuple[int, int] | Sequence[int] | dict[int, int] = 3,
     seed: int = 0,
-    first_terms: Callable[[int], int] | None = None,
 ) -> Labeling:
     """Identical biarithmetic at the boundary ratio = x-side size.
 
@@ -240,7 +193,7 @@ def construct_strong_biarithmetic(
         raise ValueError(f"x-side sizes must all be equal, got {sorted(x_sizes)}")
     ratio = x_sizes.pop() if x_sizes else 3
     return construct_identical_biarithmetic(
-        g, ratio=ratio, diff=diff, sizes=size_map, seed=seed, first_terms=first_terms
+        g, ratio=ratio, diff=diff, sizes=size_map, seed=seed
     )
 
 
@@ -262,7 +215,6 @@ def construct_biarithmetic(
     diff: int = 1,
     sizes: int | Sequence[int] | dict[int, int] | None = None,
     seed: int = 0,
-    first_terms: Callable[[int], int] | None = None,
 ) -> Labeling:
     """A proper integer ratio on every edge; works on any graph.
 
@@ -293,7 +245,7 @@ def construct_biarithmetic(
                     f"to stay above the edge ratios, got {size_map[v]}"
                 )
     diffs = {v: diff * ratio ** level[v] for v in g.vertices}
-    return _assign(g, diffs, size_map, seed, first_terms)
+    return _assign(g, diffs, size_map, seed)
 
 
 # --- componentwise uniform edge size ------------------------------------
@@ -304,7 +256,6 @@ def construct_componentwise_uniform(
     edge_size: int,
     diff: int = 1,
     seed: int = 0,
-    first_terms: Callable[[int], int] | None = None,
 ) -> Labeling:
     """One shared difference, every edge label of the given cardinality.
 
@@ -317,30 +268,24 @@ def construct_componentwise_uniform(
     if r < 5:
         raise InfeasibleError(f"edge size {r} needs label sizes below 3")
     sizes: dict[int, int] = {}
-    for comp in components(g):
-        sub_bip = bipartition(_component_subgraph(g, comp))
-        if sub_bip is None:
-            if r % 2 == 0:
-                raise InfeasibleError(
-                    f"component {comp} has an odd cycle, so edge size {r} must be odd"
-                )
-            l = (r + 1) // 2
-            for v in comp:
-                sizes[v] = l
-        else:
+    comps, colour = _traverse(g)
+    for comp in comps:
+        if comp.bipartite:
             m = (r + 1) // 2  # ceil(r/2); the split as balanced as m+n-1=r allows
             n = r + 1 - m
-            for i, v in enumerate(comp):
-                sizes[v] = m if sub_bip.side_of(i) == "x" else n
+            for v in comp.order:
+                sizes[v] = m if colour[v] == 0 else n
+        elif r % 2 == 0:
+            raise InfeasibleError(
+                f"component {tuple(sorted(comp.order))} has an odd cycle, "
+                f"so edge size {r} must be odd"
+            )
+        else:
+            for v in comp.order:
+                sizes[v] = (r + 1) // 2
     if diff < 1:
         raise ValueError("difference must be positive")
-    return _assign(g, {v: diff for v in g.vertices}, sizes, seed, first_terms)
-
-
-def _component_subgraph(g: Graph, comp: tuple[int, ...]) -> Graph:
-    from .graphs import induced_subgraph
-
-    return induced_subgraph(g, comp)
+    return _assign(g, {v: diff for v in g.vertices}, sizes, seed)
 
 
 # --- one-call dispatcher -------------------------------------------------
@@ -406,12 +351,24 @@ def construct(g: Graph, spec: ConstructSpec) -> Labeling:
 
 @dataclass(frozen=True)
 class SearchBound:
-    """Finite window the exhaustive search sweeps."""
+    """Finite window the exhaustive search sweeps.
+
+    Sizes below 3, ratios below 2 and a vertex cap below 1 could only
+    give labelings outside the class, so they raise ValueError here.
+    """
 
     max_element: int = 30
     sizes: tuple[int, ...] = (3, 4)
     ratios: tuple[int, ...] = (2, 3)
     max_vertices: int = 8
+
+    def __post_init__(self) -> None:
+        if not self.sizes or min(self.sizes) < 3:
+            raise ValueError(f"search sizes must be at least 3, got {self.sizes}")
+        if any(k < 2 for k in self.ratios):
+            raise ValueError(f"search ratios must be at least 2, got {self.ratios}")
+        if self.max_vertices < 1:
+            raise ValueError(f"max_vertices must be at least 1, got {self.max_vertices}")
 
 
 def search_identical_biarithmetic(g: Graph, bound: SearchBound = SearchBound()) -> Optional[Labeling]:
@@ -429,36 +386,15 @@ def search_identical_biarithmetic(g: Graph, bound: SearchBound = SearchBound()) 
         raise SizeLimitError(
             f"exhaustive search is limited to {bound.max_vertices} vertices, got {g.vertex_count}"
         )
-    min_size = min(bound.sizes)
-    max_diff = bound.max_element // (min_size - 1) if min_size > 1 else bound.max_element
-
-    order: list[int] = [v for comp in components(g) for v in _bfs_order(g, comp)]
+    max_diff = bound.max_element // (min(bound.sizes) - 1)
+    order = [v for comp in _traverse(g)[0] for v in comp.order]
 
     for ratio in sorted(bound.ratios):
-        if ratio < 2:
-            raise ValueError("ratios must be at least 2")
         for diffs in _diff_assignments(g, order, ratio, max_diff):
             witness = _fill_labels(g, order, diffs, ratio, bound)
             if witness is not None:
-                return witness
+                return _certify(g, witness)
     return None
-
-
-def _bfs_order(g: Graph, comp: tuple[int, ...]) -> list[int]:
-    from collections import deque
-
-    root = comp[0]
-    seen = {root}
-    out = [root]
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for w in g.neighbors(v):
-            if w not in seen:
-                seen.add(w)
-                out.append(w)
-                queue.append(w)
-    return out
 
 
 def _diff_assignments(

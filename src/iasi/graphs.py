@@ -1,16 +1,17 @@
 """Finite simple undirected graphs with deterministic vertex numbering.
 
 Vertices are the integers ``0 .. vertex_count-1``.  Edges are unordered
-pairs stored normalized as ``(min, max)``.  Traversals visit vertices
-in ascending order so every derived structure (components, bipartition
-sides, generated edge lists) is reproducible bit for bit.
+pairs stored normalized as ``(min, max)``; each graph builds its sorted
+adjacency once, when it is created.  One breadth-first traversal, roots
+and neighbours in ascending order, gives every component's visiting
+order and a 2-colouring, and components, bipartition sides and the
+search's vertex order all read it, so each is reproducible bit for bit.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from dataclasses import dataclass, field
+from typing import Iterable, NamedTuple, Optional
 
 Edge = tuple[int, int]
 
@@ -19,20 +20,30 @@ Edge = tuple[int, int]
 class Graph:
     vertex_count: int
     edges: frozenset[Edge]
+    # sorted neighbours of each vertex, derived from edges
+    _adjacency: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         n = self.vertex_count
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise ValueError("vertex count must be a non-negative integer")
         norm = set()
+        adjacency: list[list[int]] = [[] for _ in range(n)]
         for e in self.edges:
             u, v = e
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"edge {e} endpoints must be integers")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge {e} out of range for {n} vertices")
-            norm.add((u, v) if u < v else (v, u))
+            e = (u, v) if u < v else (v, u)
+            if e not in norm:
+                norm.add(e)
+                adjacency[u].append(v)
+                adjacency[v].append(u)
         object.__setattr__(self, "edges", frozenset(norm))
+        object.__setattr__(self, "_adjacency", tuple(tuple(sorted(a)) for a in adjacency))
 
     @property
     def vertices(self) -> range:
@@ -51,15 +62,13 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         if not 0 <= v < self.vertex_count:
             raise ValueError(f"vertex {v} out of range")
-        out = [b if a == v else a for a, b in self.edges if v in (a, b)]
-        return tuple(sorted(out))
+        return self._adjacency[v]
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
 
     def isolated_vertices(self) -> tuple[int, ...]:
-        touched = {v for e in self.edges for v in e}
-        return tuple(v for v in self.vertices if v not in touched)
+        return tuple(v for v in self.vertices if not self._adjacency[v])
 
 
 def graph(vertex_count: int, edges: Iterable[Edge] = ()) -> Graph:
@@ -70,25 +79,41 @@ def graph(vertex_count: int, edges: Iterable[Edge] = ()) -> Graph:
 # --- traversal ---------------------------------------------------------
 
 
+class _Component(NamedTuple):
+    order: tuple[int, ...]  # breadth-first visiting order from the lowest vertex
+    bipartite: bool
+
+
+def _traverse(g: Graph) -> tuple[list[_Component], list[int]]:
+    """Breadth-first search of every component, lowest root first.
+
+    Returns the components in root order and a colour (0 or 1) per
+    vertex: each root gets 0 and every tree edge flips it, so the
+    colouring is proper exactly on the components marked bipartite.
+    """
+    colour = [-1] * g.vertex_count
+    out: list[_Component] = []
+    for root in g.vertices:
+        if colour[root] >= 0:
+            continue
+        colour[root] = 0
+        order = [root]
+        bipartite = True
+        for v in order:  # order doubles as the queue
+            c = colour[v]
+            for w in g.neighbors(v):
+                if colour[w] < 0:
+                    colour[w] = 1 - c
+                    order.append(w)
+                elif colour[w] == c:
+                    bipartite = False
+        out.append(_Component(tuple(order), bipartite))
+    return out, colour
+
+
 def components(g: Graph) -> list[tuple[int, ...]]:
     """Connected components as sorted vertex tuples, lowest root first."""
-    seen: set[int] = set()
-    out: list[tuple[int, ...]] = []
-    for root in g.vertices:
-        if root in seen:
-            continue
-        comp = [root]
-        seen.add(root)
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for w in g.neighbors(v):
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    queue.append(w)
-        out.append(tuple(sorted(comp)))
-    return out
+    return [tuple(sorted(c.order)) for c in _traverse(g)[0]]
 
 
 @dataclass(frozen=True)
@@ -109,22 +134,11 @@ def bipartition(g: Graph) -> Optional[Bipartition]:
 
     The lowest-numbered vertex of every component lands on side x.
     """
-    color: dict[int, int] = {}
-    for root in g.vertices:
-        if root in color:
-            continue
-        color[root] = 0
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for w in g.neighbors(v):
-                if w not in color:
-                    color[w] = 1 - color[v]
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return None
-    side_x = frozenset(v for v, c in color.items() if c == 0)
-    side_y = frozenset(v for v, c in color.items() if c == 1)
+    comps, colour = _traverse(g)
+    if not all(c.bipartite for c in comps):
+        return None
+    side_x = frozenset(v for v in g.vertices if colour[v] == 0)
+    side_y = frozenset(v for v in g.vertices if colour[v] == 1)
     return Bipartition(side_x, side_y)
 
 

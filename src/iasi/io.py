@@ -45,8 +45,7 @@ def parse_graph(text: str) -> Graph:
         raise ParseError("header values must be integers", 1) from None
     if n < 0 or m < 0:
         raise ParseError("header values must be non-negative", 1)
-    edges = []
-    count = 0
+    edges: set[tuple[int, int]] = set()
     for i, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
@@ -64,10 +63,9 @@ def parse_graph(text: str) -> Graph:
         e = (min(u, v), max(u, v))
         if e in edges:
             raise ParseError(f"duplicate edge {u} {v}", i)
-        edges.append(e)
-        count += 1
-    if count != m:
-        raise ParseError(f"header promised {m} edges, found {count}", len(lines))
+        edges.add(e)
+    if len(edges) != m:
+        raise ParseError(f"header promised {m} edges, found {len(edges)}", len(lines))
     return graph(n, edges)
 
 

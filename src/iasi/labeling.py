@@ -36,7 +36,7 @@ class Labeling:
     def __post_init__(self) -> None:
         fixed: dict[int, IntSet] = {}
         for v, s in self.assignment.items():
-            if not isinstance(v, int) or v < 0:
+            if type(v) is not int or v < 0:
                 raise ValueError(f"vertex ids must be non-negative integers, got {v!r}")
             fixed[v] = as_intset(s)
         object.__setattr__(self, "assignment", dict(sorted(fixed.items())))
@@ -113,8 +113,11 @@ def deterministic_ratio(lab: Labeling, u: int, v: int) -> RatioResult:
     Always >= 1.  ``smaller`` names the endpoint(s) whose index is the
     smaller one; ties report both.
     """
-    du = deterministic_index(lab, u)
-    dv = deterministic_index(lab, v)
+    return _index_ratio(u, deterministic_index(lab, u), v, deterministic_index(lab, v))
+
+
+def _index_ratio(u: int, du: int, v: int, dv: int) -> RatioResult:
+    """The ratio of edge uv from its endpoint indices du and dv."""
     if du == dv:
         return RatioResult(Fraction(1), (u, v))
     if du < dv:

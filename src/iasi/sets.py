@@ -27,15 +27,23 @@ class IntSet:
     elems: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        elems = tuple(sorted(set(self.elems)))
+        elems = tuple(self.elems)
         if not elems:
             raise ValueError("set must be non-empty")
         for x in elems:
-            if not isinstance(x, int):
+            if type(x) is not int:  # exact type: bool is an int subclass
                 raise ValueError(f"elements must be integers, got {x!r}")
+        elems = tuple(sorted(set(elems)))
         if elems[0] < 0:
             raise ValueError(f"elements must be non-negative, got {elems[0]}")
         object.__setattr__(self, "elems", elems)
+
+    @classmethod
+    def _from_sorted(cls, elems: tuple[int, ...]) -> "IntSet":
+        """Wrap elements already sorted, distinct, non-negative ints."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "elems", elems)
+        return s
 
     def __len__(self) -> int:
         return len(self.elems)
@@ -105,7 +113,7 @@ def ap_set(first: int, diff: int, length: int) -> IntSet:
 def sumset(a: IntSet | Ints, b: IntSet | Ints) -> IntSet:
     """All pairwise sums ``x + y`` with ``x`` in ``a`` and ``y`` in ``b``."""
     sa, sb = as_intset(a), as_intset(b)
-    return IntSet(tuple(x + y for x in sa.elems for y in sb.elems))
+    return IntSet._from_sorted(tuple(sorted({x + y for x in sa.elems for y in sb.elems})))
 
 
 def detect_ap(s: IntSet | Ints) -> Optional[tuple[int, int]]:

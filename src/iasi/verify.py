@@ -1,22 +1,25 @@
 """Verifiers for every labeling class the library knows.
 
-Each verifier re-derives its verdict from the raw labels; nothing is
-trusted from construction time.  ``classify`` runs the whole battery
-and returns one report whose flags respect the containment chain:
-identical biarithmetic implies biarithmetic implies arithmetic, and
-isoarithmetic implies arithmetic, with isoarithmetic and biarithmetic
-mutually exclusive (a shared-difference edge has ratio 1, a
-biarithmetic edge never does).
+One pass over the raw labels builds a table: each vertex label with
+its common difference, and per edge the sumset f(u) + f(v), the index
+ratio and the smaller-index endpoint, each computed once.  ``classify``
+and every ``verify_*`` function project their verdicts from that
+table; nothing is trusted from construction time.  The report's flags
+respect the containment chain: identical biarithmetic implies biarithmetic
+implies arithmetic, and isoarithmetic implies arithmetic, with
+isoarithmetic and biarithmetic mutually exclusive (a shared-difference
+edge has ratio 1, a biarithmetic edge never does).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from fractions import Fraction
+from typing import NamedTuple, Optional
 
 from .graphs import Graph
-from .labeling import Labeling, NotArithmeticError, deterministic_ratio, edge_label
-from .sets import detect_ap
+from .labeling import Labeling, NotArithmeticError, _index_ratio
+from .sets import IntSet, detect_ap, sumset
 
 
 @dataclass(frozen=True)
@@ -42,54 +45,125 @@ class VerificationReport:
     warnings: tuple[str, ...] = ()
 
 
-def _require_cover(g: Graph, lab: Labeling) -> None:
-    for v in g.vertices:
-        lab.label(v)  # raises MissingLabelError on a gap
+class _Edge(NamedTuple):
+    u: int
+    v: int
+    label: IntSet  # f(u) + f(v)
+    ratio: Optional[Fraction]  # None unless both endpoint diffs are known
+    smaller: tuple[int, ...]  # endpoint(s) holding the smaller index
 
 
-def verify_iasi(g: Graph, lab: Labeling) -> tuple[bool, list[Violation]]:
-    """Injectivity of the vertex labels and of the induced edge labels."""
-    _require_cover(g, lab)
+class _Table(NamedTuple):
+    labels: tuple[IntSet, ...]  # f(v), indexed by vertex
+    diffs: tuple[Optional[int], ...]  # diff of f(v) if a progression of >= 3 elements
+    edges: tuple[_Edge, ...]  # in sorted edge order
+
+
+def _table(g: Graph, lab: Labeling) -> _Table:
+    """One pass over the labels; raises MissingLabelError on a gap."""
+    labels = tuple(lab.label(v) for v in g.vertices)
+    diffs = []
+    for s in labels:
+        ap = detect_ap(s) if len(s) >= 3 else None
+        diffs.append(None if ap is None else ap[1])
+    edges = []
+    for u, v in g.edge_list():
+        du, dv = diffs[u], diffs[v]
+        ratio, smaller = (None, ()) if du is None or dv is None else _index_ratio(u, du, v, dv)
+        edges.append(_Edge(u, v, sumset(labels[u], labels[v]), ratio, smaller))
+    return _Table(labels, tuple(diffs), tuple(edges))
+
+
+def _collisions(t: _Table) -> list[Violation]:
+    """Vertex labels, then edge labels, that repeat an earlier one."""
     violations: list[Violation] = []
     by_label: dict[tuple[int, ...], int] = {}
-    for v in g.vertices:
-        key = lab.label(v).elems
-        if key in by_label:
+    for v, s in enumerate(t.labels):
+        first = by_label.setdefault(s.elems, v)
+        if first != v:
             violations.append(
                 Violation(
-                    element=f"v{by_label[key]},v{v}",
+                    element=f"v{first},v{v}",
                     rule="vertex-label-collision",
-                    detail=f"vertices {by_label[key]} and {v} share label {lab.label(v)}",
+                    detail=f"vertices {first} and {v} share label {s}",
                 )
             )
-        else:
-            by_label[key] = v
     by_edge: dict[tuple[int, ...], tuple[int, int]] = {}
-    for u, v in g.edge_list():
-        key = edge_label(lab, u, v).elems
-        if key in by_edge:
-            pu, pv = by_edge[key]
+    for e in t.edges:
+        pu, pv = by_edge.setdefault(e.label.elems, (e.u, e.v))
+        if (pu, pv) != (e.u, e.v):
             violations.append(
                 Violation(
-                    element=f"e{pu}-{pv},e{u}-{v}",
+                    element=f"e{pu}-{pv},e{e.u}-{e.v}",
                     rule="edge-label-collision",
-                    detail=f"edges {pu}-{pv} and {u}-{v} share label {edge_label(lab, u, v)}",
+                    detail=f"edges {pu}-{pv} and {e.u}-{e.v} share label {e.label}",
                 )
             )
-        else:
-            by_edge[key] = (u, v)
-    return (not violations, violations)
+    return violations
 
 
-def _check_arith_labels(g: Graph, lab: Labeling) -> None:
-    for v in g.vertices:
-        s = lab.label(v)
+def _ratio_violations(t: _Table) -> list[Violation]:
+    """Edges whose ratio is fractional or above the smaller-index size.
+
+    Raises NotArithmeticError at the first vertex label that is not a
+    progression of at least 3 elements.
+    """
+    for v, (s, d) in enumerate(zip(t.labels, t.diffs)):
         if len(s) < 3:
             raise NotArithmeticError(
                 f"label of vertex {v} has {len(s)} elements; arithmetic labels need 3"
             )
-        if detect_ap(s) is None:
+        if d is None:
             raise NotArithmeticError(f"label of vertex {v} is not an arithmetic progression")
+    violations: list[Violation] = []
+    for e in t.edges:
+        if e.ratio.denominator != 1:
+            violations.append(
+                Violation(
+                    element=f"e{e.u}-{e.v}",
+                    rule="ratio-not-integral",
+                    detail=f"edge {e.u}-{e.v} has index ratio {e.ratio}",
+                )
+            )
+            continue
+        k = e.ratio.numerator
+        bound = min(len(t.labels[w]) for w in e.smaller)
+        if k > bound:
+            violations.append(
+                Violation(
+                    element=f"e{e.u}-{e.v}",
+                    rule="ratio-exceeds-size",
+                    detail=f"edge {e.u}-{e.v} has ratio {k} above smaller-index label size {bound}",
+                )
+            )
+    return violations
+
+
+def _single_ratio(t: _Table) -> Optional[int]:
+    """The one ratio above 1 shared by every edge, else None."""
+    ratios = {e.ratio for e in t.edges}
+    if len(ratios) != 1:
+        return None
+    [r] = ratios
+    return r.numerator if r > 1 else None
+
+
+def _strong(t: _Table) -> bool:
+    return all(len(e.label) == len(t.labels[e.u]) * len(t.labels[e.v]) for e in t.edges)
+
+
+def _uniform(t: _Table) -> tuple[Optional[int], Optional[int]]:
+    edge_sizes = {len(e.label) for e in t.edges}
+    vertex_sizes = {len(s) for s in t.labels}
+    edge_k = edge_sizes.pop() if len(edge_sizes) == 1 else None
+    vertex_l = vertex_sizes.pop() if len(vertex_sizes) == 1 else None
+    return (edge_k, vertex_l)
+
+
+def verify_iasi(g: Graph, lab: Labeling) -> tuple[bool, list[Violation]]:
+    """Injectivity of the vertex labels and of the induced edge labels."""
+    violations = _collisions(_table(g, lab))
+    return (not violations, violations)
 
 
 def verify_arithmetic(g: Graph, lab: Labeling) -> tuple[bool, list[Violation]]:
@@ -100,67 +174,31 @@ def verify_arithmetic(g: Graph, lab: Labeling) -> tuple[bool, list[Violation]]:
     elements; anything else raises NotArithmeticError.  A tie in the
     endpoint indices gives ratio 1, which always passes.
     """
-    _require_cover(g, lab)
-    _check_arith_labels(g, lab)
-    violations: list[Violation] = []
-    for u, v in g.edge_list():
-        res = deterministic_ratio(lab, u, v)
-        if res.ratio.denominator != 1:
-            violations.append(
-                Violation(
-                    element=f"e{u}-{v}",
-                    rule="ratio-not-integral",
-                    detail=f"edge {u}-{v} has index ratio {res.ratio}",
-                )
-            )
-            continue
-        k = res.ratio.numerator
-        bound = min(len(lab.label(w)) for w in res.smaller)
-        if k > bound:
-            violations.append(
-                Violation(
-                    element=f"e{u}-{v}",
-                    rule="ratio-exceeds-size",
-                    detail=f"edge {u}-{v} has ratio {k} above smaller-index label size {bound}",
-                )
-            )
+    violations = _ratio_violations(_table(g, lab))
     return (not violations, violations)
 
 
 def verify_isoarithmetic(g: Graph, lab: Labeling) -> bool:
     """Arithmetic with every edge ratio equal to 1."""
-    ok, _ = verify_arithmetic(g, lab)
-    if not ok:
-        return False
-    return all(deterministic_ratio(lab, u, v).ratio == 1 for u, v in g.edges)
+    t = _table(g, lab)
+    return not _ratio_violations(t) and all(e.ratio == 1 for e in t.edges)
 
 
 def verify_biarithmetic(g: Graph, lab: Labeling) -> bool:
     """Arithmetic with every edge ratio a proper integer, never 1."""
-    ok, _ = verify_arithmetic(g, lab)
-    if not ok:
-        return False
-    return all(deterministic_ratio(lab, u, v).ratio > 1 for u, v in g.edges)
+    t = _table(g, lab)
+    return not _ratio_violations(t) and all(e.ratio > 1 for e in t.edges)
 
 
 def verify_identical_biarithmetic(g: Graph, lab: Labeling) -> Optional[int]:
     """The shared edge ratio k when one exists on every edge, else None."""
-    if not verify_biarithmetic(g, lab):
-        return None
-    ratios = {deterministic_ratio(lab, u, v).ratio for u, v in g.edges}
-    if len(ratios) != 1:
-        return None
-    [r] = ratios
-    return r.numerator
+    t = _table(g, lab)
+    return None if _ratio_violations(t) else _single_ratio(t)
 
 
 def verify_strong(g: Graph, lab: Labeling) -> bool:
     """Every edge label is as large as it could be: |f(u)| * |f(v)|."""
-    _require_cover(g, lab)
-    return all(
-        len(edge_label(lab, u, v)) == len(lab.label(u)) * len(lab.label(v))
-        for u, v in g.edges
-    )
+    return _strong(_table(g, lab))
 
 
 def verify_uniform(g: Graph, lab: Labeling) -> tuple[Optional[int], Optional[int]]:
@@ -169,47 +207,37 @@ def verify_uniform(g: Graph, lab: Labeling) -> tuple[Optional[int], Optional[int
     Either slot is None when the cardinalities disagree or there is
     nothing to measure on that side.
     """
-    _require_cover(g, lab)
-    edge_sizes = {len(edge_label(lab, u, v)) for u, v in g.edges}
-    vertex_sizes = {len(lab.label(v)) for v in g.vertices}
-    edge_k = edge_sizes.pop() if len(edge_sizes) == 1 else None
-    vertex_l = vertex_sizes.pop() if len(vertex_sizes) == 1 else None
-    return (edge_k, vertex_l)
+    return _uniform(_table(g, lab))
 
 
 def classify(g: Graph, lab: Labeling) -> VerificationReport:
-    """Run every verifier and assemble one report.
+    """Build the table once and project every flag of the report from it.
 
     Flags implied by a failed prerequisite come back False rather than
     raising, so the report is total for any covering labeling.
     """
-    is_iasi, violations = verify_iasi(g, lab)
-
-    vertex_arithmetic = all(
-        len(lab.label(v)) >= 3 and detect_ap(lab.label(v)) is not None for v in g.vertices
-    )
-    edge_arithmetic = all(detect_ap(edge_label(lab, u, v)) is not None for u, v in g.edges)
+    t = _table(g, lab)
+    violations = _collisions(t)
+    is_iasi = not violations
+    vertex_arithmetic = all(d is not None for d in t.diffs)
+    edge_arithmetic = all(detect_ap(e.label) is not None for e in t.edges)
 
     arithmetic = False
     isoarithmetic = False
     biarithmetic = False
     identical: Optional[int] = None
     if is_iasi and vertex_arithmetic:
-        arith_ok, arith_violations = verify_arithmetic(g, lab)
-        violations = violations + arith_violations
-        arithmetic = arith_ok
-        if arith_ok:
-            ratios = [deterministic_ratio(lab, u, v).ratio for u, v in g.edge_list()]
-            isoarithmetic = all(r == 1 for r in ratios)
+        arith_violations = _ratio_violations(t)
+        violations += arith_violations
+        arithmetic = not arith_violations
+        if arithmetic:
+            isoarithmetic = all(e.ratio == 1 for e in t.edges)
             # an edgeless graph counts as isoarithmetic only, keeping the
             # two classes mutually exclusive
-            biarithmetic = bool(ratios) and all(r > 1 for r in ratios)
-            if biarithmetic and len(set(ratios)) == 1:
-                identical = ratios[0].numerator
+            biarithmetic = bool(t.edges) and all(e.ratio > 1 for e in t.edges)
+            identical = _single_ratio(t)
 
-    strong = verify_strong(g, lab) if is_iasi else False
-    edge_uniform, vertex_uniform = verify_uniform(g, lab)
-
+    edge_uniform, vertex_uniform = _uniform(t)
     warnings = tuple(
         f"vertex {v} is isolated" for v in g.isolated_vertices()
     )
@@ -221,7 +249,7 @@ def classify(g: Graph, lab: Labeling) -> VerificationReport:
         isoarithmetic=isoarithmetic,
         biarithmetic=biarithmetic,
         identical_biarithmetic=identical,
-        strong=strong,
+        strong=is_iasi and _strong(t),
         edge_uniform=edge_uniform,
         vertex_uniform=vertex_uniform,
         violations=tuple(sorted(violations, key=lambda x: (x.element, x.rule))),

@@ -179,6 +179,13 @@ def test_verify_malformed_labeling_exits_two(run, tmp_path):
     assert code == 2 and "line 1" in err
 
 
+def test_verify_graph_path_is_directory(run, tmp_path):
+    lpath = tmp_path / "lab.txt"
+    lpath.write_text("0: 0 1 2\n")
+    code, _, err = run("verify", "--graph", str(tmp_path), "--labeling", str(lpath))
+    assert code == 2 and err.startswith("error:")
+
+
 def test_verify_structured_format(run, tmp_path):
     gpath = write_graph(tmp_path, path(2))
     lpath = tmp_path / "lab.txt"
@@ -274,6 +281,12 @@ def test_search_exhausted_window_reports_reason(run, tmp_path):
     )
     assert code == 1
     assert "search window exhausted" in out
+
+
+def test_search_window_below_class_is_input_error(run, tmp_path):
+    gpath = write_graph(tmp_path, path(3))
+    code, out, err = run("search", "--graph", gpath, "--sizes", "1")
+    assert code == 2 and "sizes must be at least 3" in err and out == ""
 
 
 def test_search_size_limit_is_input_error(run, tmp_path):

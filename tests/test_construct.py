@@ -1,8 +1,7 @@
 """Constructor and search battery.
 
 Every constructed labeling is pushed back through the verifiers, so
-these tests cross-check the two modules against each other.  Repair
-expectations are hand-traced from the documented bump rule.
+these tests cross-check the two modules against each other.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import pytest
 
 from iasi import (
     ConstructSpec,
-    ConstructionFailedError,
     InfeasibleError,
     NotBipartiteError,
     RatioBoundError,
@@ -189,21 +187,7 @@ def test_componentwise_infeasible_cases():
         construct_componentwise_uniform(path(3), edge_size=4)  # sizes would drop below 3
 
 
-# --- collision repair ---------------------------------------------------------------
-
-
-def test_repair_bumps_later_vertex_to_free_slot():
-    # linear pool on a 4-cycle: edges {1,2} and {0,3} share first-term sum 3,
-    # so vertex 3 gets bumped to pool slot 4
-    g = cycle(4)
-    lab = construct_isoarithmetic(g, diff=1, sizes=3, first_terms=lambda i: i)
-    assert verify_isoarithmetic(g, lab)
-    assert [lab.label(v).min for v in g.vertices] == [0, 1, 2, 4]
-
-
-def test_repair_gives_up_on_constant_pool():
-    with pytest.raises(ConstructionFailedError):
-        construct_isoarithmetic(path(2), first_terms=lambda i: 7)
+# --- first-term pool ------------------------------------------------------------------
 
 
 def test_default_pool_needs_no_repair():
@@ -309,6 +293,15 @@ def test_search_is_deterministic():
 def test_search_size_limit():
     with pytest.raises(SizeLimitError):
         search_identical_biarithmetic(path(9))
+
+
+def test_search_bound_rejects_windows_outside_the_class():
+    # size-2 labels used to come back as witnesses that classify rejects
+    with pytest.raises(ValueError):
+        search_identical_biarithmetic(path(3), SearchBound(max_element=20, sizes=(2,), ratios=(2,)))
+    for bad in [dict(sizes=()), dict(sizes=(3, 1)), dict(ratios=(1, 2)), dict(max_vertices=0)]:
+        with pytest.raises(ValueError):
+            SearchBound(**bad)
 
 
 # --- random cross-check ----------------------------------------------------------------

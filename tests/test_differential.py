@@ -1,0 +1,352 @@
+"""Differential tests: the graph layer and the verifiers against naive oracles.
+
+The oracles below are the straightforward versions the library used
+before it built adjacency once and derived every verdict from one edge
+table: neighbours by scanning the whole edge set, one breadth-first
+search per question, and each verifier recomputing sumsets and ratios
+from the raw labels.  They are kept here, unoptimized, as references.
+Every return value, violation list and raised exception of the
+library must match them on random graphs and labelings, including
+labels that are not progressions, labels with fewer than 3 elements,
+labelings that are not set-indexers, uncovered vertices and graphs
+without edges.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from fractions import Fraction
+from typing import Optional
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from iasi import (
+    Bipartition,
+    IntSet,
+    Labeling,
+    MissingLabelError,
+    NotArithmeticError,
+    UndefinedIndexError,
+    VerificationReport,
+    Violation,
+    ap_set,
+    bipartition,
+    classify,
+    components,
+    detect_ap,
+    graph,
+    sumset,
+    verify_arithmetic,
+    verify_biarithmetic,
+    verify_iasi,
+    verify_identical_biarithmetic,
+    verify_isoarithmetic,
+    verify_strong,
+    verify_uniform,
+)
+from iasi.graphs import _traverse
+
+# --- graph oracles ------------------------------------------------------------
+
+
+def naive_neighbors(g, v):
+    if not 0 <= v < g.vertex_count:
+        raise ValueError(f"vertex {v} out of range")
+    out = [b if a == v else a for a, b in g.edges if v in (a, b)]
+    return tuple(sorted(out))
+
+
+def naive_isolated(g):
+    touched = {v for e in g.edges for v in e}
+    return tuple(v for v in g.vertices if v not in touched)
+
+
+def naive_bfs_order(g, root):
+    seen = {root}
+    out = [root]
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        for w in naive_neighbors(g, v):
+            if w not in seen:
+                seen.add(w)
+                out.append(w)
+                queue.append(w)
+    return out
+
+
+def naive_components(g):
+    seen: set[int] = set()
+    out = []
+    for root in g.vertices:
+        if root not in seen:
+            comp = naive_bfs_order(g, root)
+            seen.update(comp)
+            out.append(tuple(sorted(comp)))
+    return out
+
+
+def naive_bipartition(g):
+    color: dict[int, int] = {}
+    for root in g.vertices:
+        if root in color:
+            continue
+        color[root] = 0
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for w in naive_neighbors(g, v):
+                if w not in color:
+                    color[w] = 1 - color[v]
+                    queue.append(w)
+                elif color[w] == color[v]:
+                    return None
+    side_x = frozenset(v for v, c in color.items() if c == 0)
+    side_y = frozenset(v for v, c in color.items() if c == 1)
+    return Bipartition(side_x, side_y)
+
+
+# --- verifier oracles -----------------------------------------------------------
+
+
+def naive_edge_label(lab, u, v):
+    return IntSet(tuple(x + y for x in lab.label(u) for y in lab.label(v)))
+
+
+def naive_index(lab, v):
+    s = lab.label(v)
+    if len(s) == 1:
+        raise UndefinedIndexError(f"vertex {v} has a singleton label")
+    ap = detect_ap(s)
+    if ap is None:
+        raise NotArithmeticError(f"label of vertex {v} is not an arithmetic progression")
+    return ap[1]
+
+
+def naive_ratio(lab, u, v):
+    du, dv = naive_index(lab, u), naive_index(lab, v)
+    if du == dv:
+        return Fraction(1), (u, v)
+    if du < dv:
+        return Fraction(dv, du), (u,)
+    return Fraction(du, dv), (v,)
+
+
+def require_cover(g, lab):
+    for v in g.vertices:
+        lab.label(v)
+
+
+def naive_verify_iasi(g, lab):
+    require_cover(g, lab)
+    violations = []
+    by_label: dict[tuple[int, ...], int] = {}
+    for v in g.vertices:
+        key = lab.label(v).elems
+        if key in by_label:
+            violations.append(Violation(
+                element=f"v{by_label[key]},v{v}",
+                rule="vertex-label-collision",
+                detail=f"vertices {by_label[key]} and {v} share label {lab.label(v)}",
+            ))
+        else:
+            by_label[key] = v
+    by_edge: dict[tuple[int, ...], tuple[int, int]] = {}
+    for u, v in g.edge_list():
+        key = naive_edge_label(lab, u, v).elems
+        if key in by_edge:
+            pu, pv = by_edge[key]
+            violations.append(Violation(
+                element=f"e{pu}-{pv},e{u}-{v}",
+                rule="edge-label-collision",
+                detail=f"edges {pu}-{pv} and {u}-{v} share label {naive_edge_label(lab, u, v)}",
+            ))
+        else:
+            by_edge[key] = (u, v)
+    return (not violations, violations)
+
+
+def naive_verify_arithmetic(g, lab):
+    require_cover(g, lab)
+    for v in g.vertices:
+        s = lab.label(v)
+        if len(s) < 3:
+            raise NotArithmeticError(
+                f"label of vertex {v} has {len(s)} elements; arithmetic labels need 3"
+            )
+        if detect_ap(s) is None:
+            raise NotArithmeticError(f"label of vertex {v} is not an arithmetic progression")
+    violations = []
+    for u, v in g.edge_list():
+        ratio, smaller = naive_ratio(lab, u, v)
+        if ratio.denominator != 1:
+            violations.append(Violation(
+                element=f"e{u}-{v}",
+                rule="ratio-not-integral",
+                detail=f"edge {u}-{v} has index ratio {ratio}",
+            ))
+            continue
+        k = ratio.numerator
+        bound = min(len(lab.label(w)) for w in smaller)
+        if k > bound:
+            violations.append(Violation(
+                element=f"e{u}-{v}",
+                rule="ratio-exceeds-size",
+                detail=f"edge {u}-{v} has ratio {k} above smaller-index label size {bound}",
+            ))
+    return (not violations, violations)
+
+
+def naive_verify_isoarithmetic(g, lab):
+    ok, _ = naive_verify_arithmetic(g, lab)
+    return ok and all(naive_ratio(lab, u, v)[0] == 1 for u, v in g.edges)
+
+
+def naive_verify_biarithmetic(g, lab):
+    ok, _ = naive_verify_arithmetic(g, lab)
+    return ok and all(naive_ratio(lab, u, v)[0] > 1 for u, v in g.edges)
+
+
+def naive_verify_identical_biarithmetic(g, lab):
+    if not naive_verify_biarithmetic(g, lab):
+        return None
+    ratios = {naive_ratio(lab, u, v)[0] for u, v in g.edges}
+    if len(ratios) != 1:
+        return None
+    [r] = ratios
+    return r.numerator
+
+
+def naive_verify_strong(g, lab):
+    require_cover(g, lab)
+    return all(
+        len(naive_edge_label(lab, u, v)) == len(lab.label(u)) * len(lab.label(v))
+        for u, v in g.edges
+    )
+
+
+def naive_verify_uniform(g, lab):
+    require_cover(g, lab)
+    edge_sizes = {len(naive_edge_label(lab, u, v)) for u, v in g.edges}
+    vertex_sizes = {len(lab.label(v)) for v in g.vertices}
+    edge_k = edge_sizes.pop() if len(edge_sizes) == 1 else None
+    vertex_l = vertex_sizes.pop() if len(vertex_sizes) == 1 else None
+    return (edge_k, vertex_l)
+
+
+def naive_classify(g, lab):
+    is_iasi, violations = naive_verify_iasi(g, lab)
+    vertex_arithmetic = all(
+        len(lab.label(v)) >= 3 and detect_ap(lab.label(v)) is not None for v in g.vertices
+    )
+    edge_arithmetic = all(
+        detect_ap(naive_edge_label(lab, u, v)) is not None for u, v in g.edges
+    )
+    arithmetic = isoarithmetic = biarithmetic = False
+    identical: Optional[int] = None
+    if is_iasi and vertex_arithmetic:
+        arithmetic, arith_violations = naive_verify_arithmetic(g, lab)
+        violations = violations + arith_violations
+        if arithmetic:
+            ratios = [naive_ratio(lab, u, v)[0] for u, v in g.edge_list()]
+            isoarithmetic = all(r == 1 for r in ratios)
+            biarithmetic = bool(ratios) and all(r > 1 for r in ratios)
+            if biarithmetic and len(set(ratios)) == 1:
+                identical = ratios[0].numerator
+    strong = naive_verify_strong(g, lab) if is_iasi else False
+    edge_uniform, vertex_uniform = naive_verify_uniform(g, lab)
+    return VerificationReport(
+        is_iasi=is_iasi,
+        vertex_arithmetic=vertex_arithmetic,
+        edge_arithmetic=edge_arithmetic,
+        arithmetic=arithmetic,
+        isoarithmetic=isoarithmetic,
+        biarithmetic=biarithmetic,
+        identical_biarithmetic=identical,
+        strong=strong,
+        edge_uniform=edge_uniform,
+        vertex_uniform=vertex_uniform,
+        violations=tuple(sorted(violations, key=lambda x: (x.element, x.rule))),
+        warnings=tuple(f"vertex {v} is isolated" for v in naive_isolated(g)),
+    )
+
+
+# --- strategies -------------------------------------------------------------------
+
+
+@st.composite
+def graphs(draw, max_n=8):
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+progressions = st.builds(
+    ap_set, st.integers(0, 12), st.sampled_from([1, 2, 3, 4, 6, 8]), st.integers(1, 5)
+)
+arbitrary_sets = st.frozensets(st.integers(0, 14), min_size=1, max_size=5).map(
+    lambda s: IntSet(tuple(s))
+)
+# a tiny pool makes repeated vertex labels and colliding edge labels common
+pooled = st.sampled_from([ap_set(0, 1, 3), ap_set(1, 1, 3), ap_set(0, 2, 3), ap_set(2, 2, 4)])
+labels = st.one_of(progressions, progressions, arbitrary_sets, pooled)
+
+
+@st.composite
+def graphs_with_labelings(draw):
+    g = draw(graphs())
+    assignment = {v: draw(labels) for v in g.vertices}
+    if assignment and draw(st.integers(0, 9)) == 0:
+        del assignment[draw(st.sampled_from(sorted(assignment)))]
+    return g, Labeling(assignment)
+
+
+def outcome(fn, *args):
+    try:
+        return ("returned", fn(*args))
+    except (MissingLabelError, NotArithmeticError, UndefinedIndexError, ValueError) as exc:
+        return ("raised", type(exc), str(exc))
+
+
+# --- properties ---------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(max_n=10))
+def test_graph_layer_matches_edge_scan_oracle(g):
+    for v in range(-1, g.vertex_count + 1):
+        assert outcome(g.neighbors, v) == outcome(naive_neighbors, g, v)
+    assert [g.degree(v) for v in g.vertices] == [len(naive_neighbors(g, v)) for v in g.vertices]
+    assert g.isolated_vertices() == naive_isolated(g)
+    assert components(g) == naive_components(g)
+    assert bipartition(g) == naive_bipartition(g)
+    orders = [comp.order for comp in _traverse(g)[0]]
+    assert orders == [tuple(naive_bfs_order(g, c[0])) for c in naive_components(g)]
+
+
+VERIFIERS = [
+    (classify, naive_classify),
+    (verify_iasi, naive_verify_iasi),
+    (verify_arithmetic, naive_verify_arithmetic),
+    (verify_isoarithmetic, naive_verify_isoarithmetic),
+    (verify_biarithmetic, naive_verify_biarithmetic),
+    (verify_identical_biarithmetic, naive_verify_identical_biarithmetic),
+    (verify_strong, naive_verify_strong),
+    (verify_uniform, naive_verify_uniform),
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(graphs_with_labelings())
+def test_verifiers_match_per_verifier_oracles(case):
+    g, lab = case
+    for fast, naive in VERIFIERS:
+        assert outcome(fast, g, lab) == outcome(naive, g, lab), fast.__name__
+
+
+@settings(max_examples=200, deadline=None)
+@given(labels, labels)
+def test_sumset_matches_pairwise_sums(a, b):
+    assert sumset(a, b) == IntSet(tuple(x + y for x in a for y in b))

@@ -54,6 +54,12 @@ def test_edges_normalize_and_validate():
         graph(3, [(0, 0)])
     with pytest.raises(ValueError):
         graph(3, [(0, 5)])
+    with pytest.raises(ValueError):
+        graph(3, [(0, True)])
+    with pytest.raises(ValueError):
+        graph(3, [("a", 1)])
+    with pytest.raises(ValueError):
+        graph(True, [])
 
 
 def test_neighbors_and_degrees():

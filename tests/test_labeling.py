@@ -106,3 +106,7 @@ def test_labeling_validates_and_sorts():
     assert lab.label(3).elems == (1, 5)
     with pytest.raises(ValueError):
         make_labeling({-1: (0, 1)})
+    with pytest.raises(ValueError):
+        make_labeling({True: (0, 1)})
+    with pytest.raises(ValueError):
+        make_labeling({0: (True, 2)})

@@ -48,6 +48,12 @@ def test_intset_rejects_empty_and_negative():
         IntSet(())
     with pytest.raises(ValueError):
         IntSet((1, -2))
+    with pytest.raises(ValueError):
+        IntSet((True, 2, 3))
+    with pytest.raises(ValueError):
+        IntSet(("a", 1))
+    with pytest.raises(ValueError):
+        IntSet((1.0, 2))
 
 
 def test_intset_translate_and_add_sugar():
