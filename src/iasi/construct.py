@@ -435,13 +435,15 @@ def _fill_labels(
     labels: dict[int, IntSet] = {}
     label_keys: set[tuple[int, ...]] = set()
     edge_keys: set[tuple[int, ...]] = set()
-
-    def candidates(v: int) -> Iterable[IntSet]:
-        d = diffs[v]
-        for size in sorted(bound.sizes):
-            top = bound.max_element - (size - 1) * d
-            for first in range(0, top + 1):
-                yield ap_set(first, d, size)
+    # every label a vertex of difference d may take, by size then first term
+    candidates = {
+        d: tuple(
+            ap_set(first, d, size)
+            for size in sorted(bound.sizes)
+            for first in range(0, bound.max_element - (size - 1) * d + 1)
+        )
+        for d in set(diffs.values())
+    }
 
     def bound_ok(cand: IntSet, v: int) -> bool:
         # the smaller-difference endpoint of each edge carries the size bound
@@ -457,7 +459,7 @@ def _fill_labels(
         if i == len(order):
             return True
         v = order[i]
-        for cand in candidates(v):
+        for cand in candidates[diffs[v]]:
             key = cand.elems
             if key in label_keys or not bound_ok(cand, v):
                 continue

@@ -94,6 +94,10 @@ class APSet:
     length: int
 
     def __post_init__(self) -> None:
+        for name in ("first", "diff", "length"):
+            value = getattr(self, name)
+            if type(value) is not int:  # exact type: bool is an int subclass
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.first < 0:
             raise ValueError("first term must be non-negative")
         if self.diff < 1:
@@ -102,7 +106,9 @@ class APSet:
             raise ValueError("length must be positive")
 
     def to_intset(self) -> IntSet:
-        return IntSet(tuple(self.first + i * self.diff for i in range(self.length)))
+        # validated above: the terms are sorted, distinct, non-negative ints
+        stop = self.first + self.diff * self.length
+        return IntSet._from_sorted(tuple(range(self.first, stop, self.diff)))
 
 
 def ap_set(first: int, diff: int, length: int) -> IntSet:

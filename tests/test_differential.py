@@ -1,4 +1,4 @@
-"""Differential tests: the graph layer and the verifiers against naive oracles.
+"""Differential tests: the fast paths against naive oracles.
 
 The oracles below are the straightforward versions the library used
 before it built adjacency once and derived every verdict from one edge
@@ -10,32 +10,46 @@ library must match them on random graphs and labelings, including
 labels that are not progressions, labels with fewer than 3 elements,
 labelings that are not set-indexers, uncovered vertices and graphs
 without edges.
+
+The audit counts class sizes by one polynomial product; its oracle is
+the audit as it was when it listed every pair with
+``compat_partition``, and records and their serialized text must
+match on every theorem id and alias, skipped points and huge
+differences included.
 """
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from fractions import Fraction
-from typing import Optional
+from typing import Mapping, Optional
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iasi import (
+    AuditRecord,
     Bipartition,
+    ClassProfile,
     IntSet,
     Labeling,
     MissingLabelError,
     NotArithmeticError,
+    Prediction,
     UndefinedIndexError,
     VerificationReport,
     Violation,
     ap_set,
+    audit_point,
     bipartition,
+    canonical_pair,
     classify,
+    compat_partition,
     components,
     detect_ap,
     graph,
+    serialize_audit,
     sumset,
     verify_arithmetic,
     verify_biarithmetic,
@@ -45,6 +59,7 @@ from iasi import (
     verify_strong,
     verify_uniform,
 )
+from iasi.compat import THEOREMS, _class_histogram, _point_params, _predict
 from iasi.graphs import _traverse
 
 # --- graph oracles ------------------------------------------------------------
@@ -272,6 +287,58 @@ def naive_classify(g, lab):
     )
 
 
+# --- audit oracle: the pair-listing audit -----------------------------------------
+
+
+def naive_observe(profile: ClassProfile, expected: Mapping[str, object]) -> dict[str, object]:
+    view: dict[str, object] = {}
+    for key in expected:
+        if key == "histogram":
+            view[key] = dict(profile.size_histogram)
+        elif key == "saturated_size":
+            view[key] = profile.saturated_size
+        elif key == "saturated_count":
+            view[key] = profile.saturated_count
+        elif key == "max_size":
+            view[key] = profile.max_size
+        elif key == "max_count":
+            view[key] = profile.max_count
+        elif key == "class_count":
+            view[key] = profile.class_count
+        else:
+            raise ValueError(f"no observation for field {key!r}")
+    return view
+
+
+def naive_audit_point(theorem, point, diff=1):
+    try:
+        pred = _predict(theorem, point)
+    except ValueError as exc:
+        pseudo = Prediction(
+            theorem=theorem.upper(),
+            params=_point_params(point),
+            expected={},
+        )
+        return AuditRecord(pseudo, None, "skipped", (str(exc),))
+    m = pred.params["m"]
+    n = pred.params["n"]
+    k = pred.params.get("k", 1)
+    a, b = canonical_pair(m, n, k, diff)
+    profile = compat_partition(a, b)
+    observed = naive_observe(profile, pred.expected)
+    observed["histogram_full"] = dict(profile.size_histogram)
+    detail: list[str] = []
+    verdict = "match"
+    for key, want in pred.expected.items():
+        got = observed[key]
+        if got == want:
+            detail.append(f"{key}: predicted {want!r}, observed {got!r}")
+        else:
+            verdict = "mismatch"
+            detail.append(f"{key}: predicted {want!r}, observed {got!r} <-- differs")
+    return AuditRecord(pred, observed, verdict, tuple(detail))
+
+
 # --- strategies -------------------------------------------------------------------
 
 
@@ -350,3 +417,88 @@ def test_verifiers_match_per_verifier_oracles(case):
 @given(labels, labels)
 def test_sumset_matches_pairwise_sums(a, b):
     assert sumset(a, b) == IntSet(tuple(x + y for x in a for y in b))
+
+
+# --- class sizes by polynomial product ------------------------------------------------
+
+
+def spread_set(base, lo, step):
+    return IntSet(tuple(lo + step * x for x in base))
+
+
+# two sets sharing a common factor c on top of small own steps: the
+# gcd normalisation then keeps the product small however large c is
+spread_pairs = st.builds(
+    lambda base_a, base_b, lo_a, lo_b, c, s_a, s_b: (
+        spread_set(base_a, lo_a, c * s_a),
+        spread_set(base_b, lo_b, c * s_b),
+    ),
+    st.frozensets(st.integers(0, 20), min_size=1, max_size=9),
+    st.frozensets(st.integers(0, 20), min_size=1, max_size=9),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+    st.one_of(st.integers(1, 12), st.integers(1, 10**12)),
+    st.integers(1, 4),
+    st.integers(1, 4),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(spread_pairs, st.tuples(labels, labels)))
+def test_class_histogram_matches_pair_listing(pair):
+    a, b = pair
+    # items in order: the audit prints the histogram as it iterates
+    want = compat_partition(a, b).size_histogram
+    assert list(_class_histogram(a, b).items()) == list(want.items())
+
+
+def test_class_histogram_two_bytes_per_coefficient():
+    # both sizes >= 256, so a coefficient needs two bytes
+    cases = [(ap_set(0, 1, 300), ap_set(5, 1, 257))]
+    rng = random.Random(3)
+    for _ in range(3):
+        a = IntSet(tuple(rng.sample(range(900), 300)))
+        b = IntSet(tuple(7 * x + 11 for x in rng.sample(range(400), 260)))
+        cases.append((a, b))
+    for a, b in cases:
+        want = compat_partition(a, b).size_histogram
+        assert list(_class_histogram(a, b).items()) == list(want.items())
+    assert max(_class_histogram(*cases[0])) == 257
+
+
+AUDIT_IDS = THEOREMS + (
+    "t-ncc",
+    "t-nsc-ii",
+    "t-nmcc-ii",
+    "t-nmcc-ii-q0",
+    "t-nmcc-ii-qpos",
+    "edge-sin",
+    "edge-sin-iso",
+    "edge-sin-bi",
+    "T-NMCC-II",
+    "EDGE-SIN",
+)
+
+
+@st.composite
+def audit_points(draw):
+    theorem = draw(st.sampled_from(AUDIT_IDS))
+    arity = 2 if theorem.upper() == "T-NCC" else 3
+    if draw(st.integers(0, 9)) == 0:
+        arity = 5 - arity  # a point of the wrong shape is skipped
+    point = (draw(st.integers(1, 16)), draw(st.integers(1, 12)), draw(st.integers(1, 6)))
+    return theorem, point[:arity]
+
+
+# huge differences guard the gcd normalisation: without it one product
+# would take about d * span bytes
+@settings(max_examples=500, deadline=None)
+@given(audit_points(), st.one_of(st.integers(0, 10), st.integers(10**6, 10**12)))
+def test_audit_point_matches_pair_listing_audit(case, diff):
+    theorem, point = case
+    fast = outcome(audit_point, theorem, point, diff)
+    naive = outcome(naive_audit_point, theorem, point, diff)
+    assert fast == naive
+    if fast[0] == "returned":
+        for fmt in ("text", "structured"):
+            assert serialize_audit([fast[1]], fmt=fmt) == serialize_audit([naive[1]], fmt=fmt)

@@ -69,6 +69,12 @@ def test_apset_fields_and_expansion():
         APSet(0, 0, 3)
     with pytest.raises(ValueError):
         APSet(-1, 1, 3)
+    # fields must be exactly int: bools and floats are not terms, steps or lengths
+    for args in [(0, 1, True), (0, True, 3), (False, 1, 3), (0, 1, 2.5), (0.0, 1, 3), (0, "1", 3)]:
+        with pytest.raises(ValueError):
+            ap_set(*args)
+    assert ap_set(0, 10**12, 3).elems == (0, 10**12, 2 * 10**12)
+    assert ap_set(7, 1, 1).elems == (7,)
 
 
 # --- sumset -------------------------------------------------------------------
