@@ -27,7 +27,6 @@ from .construct import (
 )
 from .graphs import _KINDS, Graph, bipartition, generate
 from .io import (
-    ParseError,
     export_dot,
     parse_graph,
     parse_labeling,
@@ -283,16 +282,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ConstructionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, MissingLabelError) as exc:
+    except (OSError, ValueError, MissingLabelError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,9 +3,13 @@
 Vertex v takes first term ``(seed mod 1000) + 2**v - 1`` from a pool
 whose spacing doubles at every step.  Pairwise sums of pool values are
 then all distinct, so vertex labels and induced edge labels are
-injective by construction.  Constructors and the exhaustive search
-alike return through one certify step, which reads the verifier's
-edge table and raises ConstructionError on any collision.
+injective by construction.  Constructors return through one certify
+step, which reads the verifier's edge table and raises
+ConstructionError on any collision.
+
+The exhaustive search keys labels by (first, diff, size) and edges by
+(a + b, d, m + k*(n - 1)), the sumset of (a, d, m) and (b, k*d, n) when
+k <= m; only the witness is built as sets, and ``classify`` certifies it.
 
 All constructors are pure functions of (graph, parameters, seed).
 """
@@ -17,8 +21,8 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .graphs import Bipartition, Graph, _traverse, bipartition
 from .labeling import Labeling
-from .sets import IntSet, ap_set
-from .verify import verify_iasi
+from .sets import ap_set
+from .verify import classify, verify_iasi
 
 
 class ConstructionError(Exception):
@@ -137,7 +141,7 @@ def _split_sizes(
 ) -> dict[int, int]:
     if isinstance(sizes, tuple) and len(sizes) == 2 and all(isinstance(s, int) for s in sizes):
         x_size, y_size = sizes
-        return {v: (x_size if v in bip.side_x else y_size) for v in g.vertices}
+        sizes = {v: (x_size if v in bip.side_x else y_size) for v in g.vertices}
     return _resolve_sizes(g, sizes)
 
 
@@ -161,9 +165,6 @@ def construct_identical_biarithmetic(
     if bip is None:
         raise NotBipartiteError("a single edge ratio forces a two-coloring; graph has an odd cycle")
     size_map = _split_sizes(g, bip, sizes)
-    for v in g.vertices:
-        if size_map[v] < 3:
-            raise ValueError(f"label sizes must be at least 3, vertex {v} got {size_map[v]}")
     low = min((size_map[v] for v in bip.side_x), default=None)
     if low is not None and ratio > low:
         raise RatioBoundError(
@@ -380,12 +381,16 @@ def search_identical_biarithmetic(g: Graph, bound: SearchBound = SearchBound()) 
     fills in sizes and first terms in ascending order, checking label
     injectivity as it goes.  Returns the first witness found, so equal
     inputs always give the same labeling, or None when the whole window
-    is exhausted.
+    is exhausted.  ``classify`` certifies the witness: an IASI with the
+    searched ratio on every edge, else ConstructionError.  A graph
+    without edges has no edge ratio and raises InfeasibleError.
     """
     if g.vertex_count > bound.max_vertices:
         raise SizeLimitError(
             f"exhaustive search is limited to {bound.max_vertices} vertices, got {g.vertex_count}"
         )
+    if not g.edges:
+        raise InfeasibleError("a graph without edges has no edge ratio to share")
     max_diff = bound.max_element // (min(bound.sizes) - 1)
     order = [v for comp in _traverse(g)[0] for v in comp.order]
 
@@ -393,7 +398,13 @@ def search_identical_biarithmetic(g: Graph, bound: SearchBound = SearchBound()) 
         for diffs in _diff_assignments(g, order, ratio, max_diff):
             witness = _fill_labels(g, order, diffs, ratio, bound)
             if witness is not None:
-                return _certify(g, witness)
+                report = classify(g, witness)
+                if not report.is_iasi or report.identical_biarithmetic != ratio:
+                    raise ConstructionError(
+                        f"certification failed: searched ratio {ratio}, classify reports "
+                        f"is_iasi={report.is_iasi}, ratio {report.identical_biarithmetic}"
+                    )
+                return witness
     return None
 
 
@@ -431,60 +442,45 @@ def _diff_assignments(
 def _fill_labels(
     g: Graph, order: list[int], diffs: dict[int, int], ratio: int, bound: SearchBound
 ) -> Optional[Labeling]:
-    """Depth-first completion with sizes and first terms ascending."""
-    labels: dict[int, IntSet] = {}
-    label_keys: set[tuple[int, ...]] = set()
-    edge_keys: set[tuple[int, ...]] = set()
-    # every label a vertex of difference d may take, by size then first term
-    candidates = {
-        d: tuple(
-            ap_set(first, d, size)
-            for size in sorted(bound.sizes)
-            for first in range(0, bound.max_element - (size - 1) * d + 1)
-        )
-        for d in set(diffs.values())
-    }
+    """Depth-first completion with sizes and first terms ascending.
 
-    def bound_ok(cand: IntSet, v: int) -> bool:
-        # the smaller-difference endpoint of each edge carries the size bound
-        for w in g.neighbors(v):
-            if w not in labels:
-                continue
-            lo_size = len(cand) if diffs[v] < diffs[w] else len(labels[w])
-            if ratio > lo_size:
-                return False
-        return True
+    Vertex keys are label triples (first, diff, size).  The edge key is
+    (first_u + first_v, smaller diff, m + ratio*(n - 1)), with m the size
+    of the smaller-difference endpoint: the triple of the sumset, valid
+    only when ratio <= m, so each neighbour's bound check comes before
+    its key.  Two edges at one vertex share a key only if their other
+    endpoints share a label, so new keys need no check among themselves.
+    """
+    labels: dict[int, tuple[int, int, int]] = {}
+    edge_keys: set[tuple[int, int, int]] = set()
 
     def place(i: int) -> bool:
         if i == len(order):
             return True
         v = order[i]
-        for cand in candidates[diffs[v]]:
-            key = cand.elems
-            if key in label_keys or not bound_ok(cand, v):
-                continue
-            new_edges: list[tuple[int, ...]] = []
-            ok = True
-            for w in g.neighbors(v):
-                if w not in labels:
+        d = diffs[v]
+        placed = [labels[w] for w in g.neighbors(v) if w in labels]
+        for size in sorted(bound.sizes):
+            for first in range(bound.max_element - (size - 1) * d + 1):
+                key = (first, d, size)
+                if key in labels.values():
                     continue
-                ekey = (cand + labels[w]).elems
-                if ekey in edge_keys or ekey in new_edges:
-                    ok = False
-                    break
-                new_edges.append(ekey)
-            if not ok:
-                continue
-            labels[v] = cand
-            label_keys.add(key)
-            edge_keys.update(new_edges)
-            if place(i + 1):
-                return True
-            labels.pop(v)
-            label_keys.discard(key)
-            edge_keys.difference_update(new_edges)
+                new_edges = []
+                for b, e, n in placed:
+                    lo, hi = (size, n) if d < e else (n, size)
+                    edge = (first + b, min(d, e), lo + ratio * (hi - 1))
+                    if ratio > lo or edge in edge_keys:
+                        break
+                    new_edges.append(edge)
+                else:
+                    labels[v] = key
+                    edge_keys.update(new_edges)
+                    if place(i + 1):
+                        return True
+                    del labels[v]
+                    edge_keys.difference_update(new_edges)
         return False
 
     if place(0):
-        return Labeling(dict(labels))
+        return Labeling({v: ap_set(*key) for v, key in labels.items()})
     return None

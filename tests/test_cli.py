@@ -186,6 +186,14 @@ def test_verify_graph_path_is_directory(run, tmp_path):
     assert code == 2 and err.startswith("error:")
 
 
+def test_verify_labeling_missing_a_vertex_exits_two(run, tmp_path):
+    gpath = write_graph(tmp_path, path(3))
+    lpath = tmp_path / "lab.txt"
+    lpath.write_text("0: 0 1 2\n1: 0 2 4\n")
+    code, _, err = run("verify", "--graph", gpath, "--labeling", str(lpath))
+    assert code == 2 and err.startswith("error:") and "vertex 2" in err
+
+
 def test_verify_structured_format(run, tmp_path):
     gpath = write_graph(tmp_path, path(2))
     lpath = tmp_path / "lab.txt"
@@ -215,6 +223,13 @@ def test_classes_from_labeling_edge(run, tmp_path):
     )
     assert code == 0
     assert "classes=7" in out.splitlines()
+
+
+def test_classes_edge_on_absent_vertex_exits_two(run, tmp_path):
+    lpath = tmp_path / "lab.txt"
+    lpath.write_text("0: 0 1 2\n1: 0 2 4\n")
+    code, out, err = run("classes", "--labeling", str(lpath), "--edge", "0,5")
+    assert code == 2 and out == "" and err.startswith("error:") and "vertex 5" in err
 
 
 def test_classes_needs_a_source(run):

@@ -6,17 +6,22 @@ these tests cross-check the two modules against each other.
 
 from __future__ import annotations
 
+import importlib
 import random
 
 import pytest
 
 from iasi import (
+    ConstructionError,
     ConstructSpec,
     InfeasibleError,
+    Labeling,
     NotBipartiteError,
     RatioBoundError,
     SearchBound,
     SizeLimitError,
+    ap_set,
+    classify,
     complete,
     complete_bipartite,
     construct,
@@ -42,6 +47,9 @@ from iasi import (
     verify_uniform,
 )
 from conftest import random_graph
+
+# the package exports the construct() dispatcher under the module's name
+construct_module = importlib.import_module("iasi.construct")
 
 
 # --- shared-difference constructors ------------------------------------------
@@ -302,6 +310,31 @@ def test_search_bound_rejects_windows_outside_the_class():
     for bad in [dict(sizes=()), dict(sizes=(3, 1)), dict(ratios=(1, 2)), dict(max_vertices=0)]:
         with pytest.raises(ValueError):
             SearchBound(**bad)
+
+
+def test_search_certifies_witness_through_classify(monkeypatch):
+    # injective, but edge 0-1 has ratio 2 and edge 1-2 ratio 3
+    mixed = Labeling({0: ap_set(0, 1, 3), 1: ap_set(10, 2, 3), 2: ap_set(20, 6, 3)})
+    report = classify(path(3), mixed)
+    assert report.is_iasi and report.identical_biarithmetic is None
+    monkeypatch.setattr(construct_module, "_fill_labels", lambda *args: mixed)
+    with pytest.raises(ConstructionError, match="certification failed"):
+        search_identical_biarithmetic(path(3))
+
+
+def test_search_refuses_graphs_without_edges():
+    for g in [graph(1, []), graph(3, [])]:
+        with pytest.raises(InfeasibleError):
+            search_identical_biarithmetic(g)
+
+
+def test_side_sizes_below_three_name_the_first_vertex():
+    for build in (construct_identical_biarithmetic, construct_strong_biarithmetic):
+        kwargs = {"ratio": 2} if build is construct_identical_biarithmetic else {}
+        for sizes, vertex in [((2, 3), 0), ((3, 2), 1)]:
+            with pytest.raises(ValueError) as info:
+                build(path(4), sizes=sizes, **kwargs)
+            assert str(info.value) == f"label sizes must be at least 3, vertex {vertex} got 2"
 
 
 # --- random cross-check ----------------------------------------------------------------

@@ -16,6 +16,11 @@ the audit as it was when it listed every pair with
 ``compat_partition``, and records and their serialized text must
 match on every theorem id and alias, skipped points and huge
 differences included.
+
+The exhaustive search compares labels by their progression triples;
+its oracle is the depth-first fill that built every candidate as an
+``IntSet`` and compared full sumsets.  On every window over a graph
+with edges the search must return the same witness, None or exception.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from iasi import (
     MissingLabelError,
     NotArithmeticError,
     Prediction,
+    SearchBound,
     UndefinedIndexError,
     VerificationReport,
     Violation,
@@ -49,6 +55,7 @@ from iasi import (
     components,
     detect_ap,
     graph,
+    search_identical_biarithmetic,
     serialize_audit,
     sumset,
     verify_arithmetic,
@@ -60,6 +67,7 @@ from iasi import (
     verify_uniform,
 )
 from iasi.compat import THEOREMS, _class_histogram, _point_params, _predict
+from iasi.construct import _diff_assignments
 from iasi.graphs import _traverse
 
 # --- graph oracles ------------------------------------------------------------
@@ -339,6 +347,79 @@ def naive_audit_point(theorem, point, diff=1):
     return AuditRecord(pred, observed, verdict, tuple(detail))
 
 
+# --- search oracle: candidate sets and full sumsets ---------------------------------
+
+
+def naive_fill_labels(g, order, diffs, ratio, bound):
+    labels = {}
+    label_keys = set()
+    edge_keys = set()
+    candidates = {
+        d: tuple(
+            ap_set(first, d, size)
+            for size in sorted(bound.sizes)
+            for first in range(0, bound.max_element - (size - 1) * d + 1)
+        )
+        for d in set(diffs.values())
+    }
+
+    def bound_ok(cand, v):
+        for w in naive_neighbors(g, v):
+            if w not in labels:
+                continue
+            lo_size = len(cand) if diffs[v] < diffs[w] else len(labels[w])
+            if ratio > lo_size:
+                return False
+        return True
+
+    def place(i):
+        if i == len(order):
+            return True
+        v = order[i]
+        for cand in candidates[diffs[v]]:
+            key = cand.elems
+            if key in label_keys or not bound_ok(cand, v):
+                continue
+            new_edges = []
+            ok = True
+            for w in naive_neighbors(g, v):
+                if w not in labels:
+                    continue
+                ekey = (cand + labels[w]).elems
+                if ekey in edge_keys or ekey in new_edges:
+                    ok = False
+                    break
+                new_edges.append(ekey)
+            if not ok:
+                continue
+            labels[v] = cand
+            label_keys.add(key)
+            edge_keys.update(new_edges)
+            if place(i + 1):
+                return True
+            labels.pop(v)
+            label_keys.discard(key)
+            edge_keys.difference_update(new_edges)
+        return False
+
+    if place(0):
+        return Labeling(dict(labels))
+    return None
+
+
+def naive_search(g, bound):
+    max_diff = bound.max_element // (min(bound.sizes) - 1)
+    order = [v for c in naive_components(g) for v in naive_bfs_order(g, c[0])]
+    for ratio in sorted(bound.ratios):
+        for diffs in _diff_assignments(g, order, ratio, max_diff):
+            witness = naive_fill_labels(g, order, diffs, ratio, bound)
+            if witness is not None:
+                ok, violations = naive_verify_iasi(g, witness)
+                assert ok, violations
+                return witness
+    return None
+
+
 # --- strategies -------------------------------------------------------------------
 
 
@@ -502,3 +583,44 @@ def test_audit_point_matches_pair_listing_audit(case, diff):
     if fast[0] == "returned":
         for fmt in ("text", "structured"):
             assert serialize_audit([fast[1]], fmt=fmt) == serialize_audit([naive[1]], fmt=fmt)
+
+
+@st.composite
+def bipartite_graphs(draw, max_n=7):
+    n = draw(st.integers(2, max_n))
+    side = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if side[u] != side[v]]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@st.composite
+def search_windows(draw):
+    # odd cycles fail at the difference step, so bipartite graphs are most of the draw
+    g = draw(st.one_of(graphs(max_n=7), bipartite_graphs(), bipartite_graphs()).filter(
+        lambda g: g.edges
+    ))
+    sizes = tuple(draw(st.lists(st.integers(3, 6), min_size=1, max_size=3)))
+    ratios = tuple(draw(st.lists(st.integers(2, 5), min_size=1, max_size=2)))
+    return g, SearchBound(max_element=draw(st.integers(0, 24)), sizes=sizes, ratios=ratios)
+
+
+@settings(max_examples=200, deadline=None)
+@given(search_windows())
+def test_search_matches_sumset_search(case):
+    g, bound = case
+    assert outcome(search_identical_biarithmetic, g, bound) == outcome(naive_search, g, bound)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 20), st.integers(0, 20), st.integers(1, 6), st.integers(2, 6),
+    st.integers(1, 6), st.integers(1, 8),
+)
+def test_progression_sumset_closed_form(a, b, d, k, m, n):
+    total = sumset(ap_set(a, d, m), ap_set(b, k * d, n))
+    if k <= m:
+        assert total == ap_set(a + b, d, m + k * (n - 1))
+    else:
+        # past the bound every pair has its own sum, so the triple no longer describes the label
+        assert len(total) == m * n
