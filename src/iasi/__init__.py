@@ -36,7 +36,6 @@ from .construct import (
     construct_isoarithmetic,
     construct_strong_biarithmetic,
     construct_uniform_isoarithmetic,
-    default_first_terms,
     search_identical_biarithmetic,
 )
 from .graphs import (

@@ -3,13 +3,15 @@
 Vertex v takes first term ``(seed mod 1000) + 2**v - 1`` from a pool
 whose spacing doubles at every step.  Pairwise sums of pool values are
 then all distinct, so vertex labels and induced edge labels are
-injective by construction.  Constructors return through one certify
-step, which reads the verifier's edge table and raises
-ConstructionError on any collision.
+injective by construction.  Every producer, constructor and search
+alike, returns through one certify step: ``classify`` must call the
+labeling arithmetic (which implies an IASI), and the search's witness
+must also carry the searched ratio on every edge; anything else raises
+ConstructionError.
 
 The exhaustive search keys labels by (first, diff, size) and edges by
 (a + b, d, m + k*(n - 1)), the sumset of (a, d, m) and (b, k*d, n) when
-k <= m; only the witness is built as sets, and ``classify`` certifies it.
+k <= m; only the witness is built as sets.
 
 All constructors are pure functions of (graph, parameters, seed).
 """
@@ -17,12 +19,12 @@ All constructors are pure functions of (graph, parameters, seed).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .graphs import Bipartition, Graph, _traverse, bipartition
 from .labeling import Labeling
 from .sets import ap_set
-from .verify import classify, verify_iasi
+from .verify import classify
 
 
 class ConstructionError(Exception):
@@ -45,21 +47,6 @@ class SizeLimitError(ConstructionError):
     """The graph is too large for the exhaustive search."""
 
 
-def default_first_terms(seed: int) -> Callable[[int], int]:
-    """Pool of first terms with geometrically increasing spacing.
-
-    Value i is ``(seed mod 1000) + 2**i - 1``; the gap between
-    consecutive values doubles, so any two distinct pool indices give a
-    distinct pairwise sum and label collisions cannot arise.
-    """
-    base = seed % 1000
-
-    def pool(i: int) -> int:
-        return base + (1 << i) - 1
-
-    return pool
-
-
 def _resolve_sizes(g: Graph, sizes: int | Sequence[int] | dict[int, int]) -> dict[int, int]:
     if isinstance(sizes, int):
         out = {v: sizes for v in g.vertices}
@@ -80,19 +67,26 @@ def _resolve_sizes(g: Graph, sizes: int | Sequence[int] | dict[int, int]) -> dic
     return out
 
 
-def _certify(g: Graph, lab: Labeling) -> Labeling:
-    """Return lab if its vertex and edge labels are injective on g."""
-    ok, violations = verify_iasi(g, lab)
-    if not ok:
-        raise ConstructionError(f"certification failed: {violations}")
+def _certify(g: Graph, lab: Labeling, ratio: Optional[int] = None) -> Labeling:
+    """Return lab if ``classify`` calls it arithmetic on g.
+
+    When ratio is given, every edge must also carry exactly that ratio.
+    """
+    report = classify(g, lab)
+    if not report.arithmetic or (ratio is not None and report.identical_biarithmetic != ratio):
+        raise ConstructionError(
+            f"certification failed: classify reports is_iasi={report.is_iasi}, "
+            f"arithmetic={report.arithmetic}, ratio {report.identical_biarithmetic}"
+            + ("" if ratio is None else f", searched ratio {ratio}")
+        )
     return lab
 
 
 def _assign(g: Graph, diffs: dict[int, int], sizes: dict[int, int], seed: int) -> Labeling:
-    """Give vertex v pool value v as its first term, then certify."""
-    pool = default_first_terms(seed)
+    """Give vertex v first term (seed mod 1000) + 2**v - 1, then certify."""
+    base = seed % 1000
     return _certify(
-        g, Labeling({v: ap_set(pool(v), diffs[v], sizes[v]) for v in g.vertices})
+        g, Labeling({v: ap_set(base + (1 << v) - 1, diffs[v], sizes[v]) for v in g.vertices})
     )
 
 
@@ -315,7 +309,7 @@ def construct(g: Graph, spec: ConstructSpec) -> Labeling:
             raise ValueError("uniform_isoarithmetic takes one integer size")
         return construct_uniform_isoarithmetic(g, spec.sizes, diff=spec.diff, seed=spec.seed)
     if kind == "bipartite_uniform_isoarithmetic":
-        if not (isinstance(spec.sizes, tuple) and len(spec.sizes) == 2):
+        if not (isinstance(spec.sizes, (tuple, list)) and len(spec.sizes) == 2):
             raise ValueError("bipartite_uniform_isoarithmetic takes sizes (m, n)")
         m, n = spec.sizes
         return construct_bipartite_uniform_isoarithmetic(
@@ -356,6 +350,8 @@ class SearchBound:
 
     Sizes below 3, ratios below 2 and a vertex cap below 1 could only
     give labelings outside the class, so they raise ValueError here.
+    Sizes and ratios are then kept as ascending tuples of distinct
+    values: a repeat would only sweep the same candidates again.
     """
 
     max_element: int = 30
@@ -370,6 +366,8 @@ class SearchBound:
             raise ValueError(f"search ratios must be at least 2, got {self.ratios}")
         if self.max_vertices < 1:
             raise ValueError(f"max_vertices must be at least 1, got {self.max_vertices}")
+        object.__setattr__(self, "sizes", tuple(sorted(set(self.sizes))))
+        object.__setattr__(self, "ratios", tuple(sorted(set(self.ratios))))
 
 
 def search_identical_biarithmetic(g: Graph, bound: SearchBound = SearchBound()) -> Optional[Labeling]:
@@ -381,9 +379,9 @@ def search_identical_biarithmetic(g: Graph, bound: SearchBound = SearchBound()) 
     fills in sizes and first terms in ascending order, checking label
     injectivity as it goes.  Returns the first witness found, so equal
     inputs always give the same labeling, or None when the whole window
-    is exhausted.  ``classify`` certifies the witness: an IASI with the
-    searched ratio on every edge, else ConstructionError.  A graph
-    without edges has no edge ratio and raises InfeasibleError.
+    is exhausted.  The witness returns through the shared certify step
+    with the searched ratio, else ConstructionError.  A graph without
+    edges has no edge ratio and raises InfeasibleError.
     """
     if g.vertex_count > bound.max_vertices:
         raise SizeLimitError(
@@ -394,17 +392,11 @@ def search_identical_biarithmetic(g: Graph, bound: SearchBound = SearchBound()) 
     max_diff = bound.max_element // (min(bound.sizes) - 1)
     order = [v for comp in _traverse(g)[0] for v in comp.order]
 
-    for ratio in sorted(bound.ratios):
+    for ratio in bound.ratios:
         for diffs in _diff_assignments(g, order, ratio, max_diff):
             witness = _fill_labels(g, order, diffs, ratio, bound)
             if witness is not None:
-                report = classify(g, witness)
-                if not report.is_iasi or report.identical_biarithmetic != ratio:
-                    raise ConstructionError(
-                        f"certification failed: searched ratio {ratio}, classify reports "
-                        f"is_iasi={report.is_iasi}, ratio {report.identical_biarithmetic}"
-                    )
-                return witness
+                return _certify(g, witness, ratio)
     return None
 
 
@@ -460,7 +452,7 @@ def _fill_labels(
         v = order[i]
         d = diffs[v]
         placed = [labels[w] for w in g.neighbors(v) if w in labels]
-        for size in sorted(bound.sizes):
+        for size in bound.sizes:
             for first in range(bound.max_element - (size - 1) * d + 1):
                 key = (first, d, size)
                 if key in labels.values():

@@ -119,10 +119,6 @@ def parse_labeling(text: str) -> Labeling:
 # --- value formatting -----------------------------------------------------
 
 
-def format_intset(s: IntSet) -> str:
-    return str(s)
-
-
 def format_histogram(h: Mapping[int, int]) -> str:
     """Render ``{1:4, 2:5, 3:2}`` with keys ascending."""
     inner = ", ".join(f"{k}:{h[k]}" for k in sorted(h))

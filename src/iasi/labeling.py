@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, NamedTuple
 
-from .graphs import Graph
 from .sets import IntSet, Ints, as_intset, detect_ap, sumset
 
 
@@ -58,9 +57,6 @@ class Labeling:
 
     def __contains__(self, v: object) -> bool:
         return v in self.assignment
-
-    def covers(self, g: Graph) -> bool:
-        return all(v in self.assignment for v in g.vertices)
 
     def restrict(self, vertices: Ints) -> "Labeling":
         """Restriction to a vertex subset, renumbered by sorted position.
@@ -113,11 +109,7 @@ def deterministic_ratio(lab: Labeling, u: int, v: int) -> RatioResult:
     Always >= 1.  ``smaller`` names the endpoint(s) whose index is the
     smaller one; ties report both.
     """
-    return _index_ratio(u, deterministic_index(lab, u), v, deterministic_index(lab, v))
-
-
-def _index_ratio(u: int, du: int, v: int, dv: int) -> RatioResult:
-    """The ratio of edge uv from its endpoint indices du and dv."""
+    du, dv = deterministic_index(lab, u), deterministic_index(lab, v)
     if du == dv:
         return RatioResult(Fraction(1), (u, v))
     if du < dv:

@@ -1,10 +1,12 @@
 """Verifiers for every labeling class the library knows.
 
 One pass over the raw labels builds a table: each vertex label with
-its common difference, and per edge the sumset f(u) + f(v), the index
-ratio and the smaller-index endpoint, each computed once.  ``classify``
-and every ``verify_*`` function project their verdicts from that
-table; nothing is trusted from construction time.  The report's flags
+its common difference, and per edge the sumset f(u) + f(v), the integer
+index ratio (None when it is not an integer) and the size bound of the
+smaller-index endpoint, each computed once.  ``classify`` and every
+``verify_*`` function project their verdicts from that table; nothing is
+trusted from construction time, and every constructor and the search
+certify their output through ``classify``.  The report's flags
 respect the containment chain: identical biarithmetic implies biarithmetic
 implies arithmetic, and isoarithmetic implies arithmetic, with
 isoarithmetic and biarithmetic mutually exclusive (a shared-difference
@@ -18,7 +20,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .graphs import Graph
-from .labeling import Labeling, NotArithmeticError, _index_ratio
+from .labeling import Labeling, NotArithmeticError
 from .sets import IntSet, detect_ap, sumset
 
 
@@ -49,8 +51,8 @@ class _Edge(NamedTuple):
     u: int
     v: int
     label: IntSet  # f(u) + f(v)
-    ratio: Optional[Fraction]  # None unless both endpoint diffs are known
-    smaller: tuple[int, ...]  # endpoint(s) holding the smaller index
+    ratio: Optional[int]  # larger diff over smaller; None if unknown or not an integer
+    bound: int  # size of the smaller-diff label, the smaller size on a tie; 0 if unknown
 
 
 class _Table(NamedTuple):
@@ -69,8 +71,12 @@ def _table(g: Graph, lab: Labeling) -> _Table:
     edges = []
     for u, v in g.edge_list():
         du, dv = diffs[u], diffs[v]
-        ratio, smaller = (None, ()) if du is None or dv is None else _index_ratio(u, du, v, dv)
-        edges.append(_Edge(u, v, sumset(labels[u], labels[v]), ratio, smaller))
+        ratio, bound = None, 0
+        if du is not None and dv is not None:
+            (lo, bound), (hi, _) = sorted(((du, len(labels[u])), (dv, len(labels[v]))))
+            if hi % lo == 0:
+                ratio = hi // lo
+        edges.append(_Edge(u, v, sumset(labels[u], labels[v]), ratio, bound))
     return _Table(labels, tuple(diffs), tuple(edges))
 
 
@@ -117,23 +123,21 @@ def _ratio_violations(t: _Table) -> list[Violation]:
             raise NotArithmeticError(f"label of vertex {v} is not an arithmetic progression")
     violations: list[Violation] = []
     for e in t.edges:
-        if e.ratio.denominator != 1:
+        if e.ratio is None:
+            du, dv = t.diffs[e.u], t.diffs[e.v]
             violations.append(
                 Violation(
                     element=f"e{e.u}-{e.v}",
                     rule="ratio-not-integral",
-                    detail=f"edge {e.u}-{e.v} has index ratio {e.ratio}",
+                    detail=f"edge {e.u}-{e.v} has index ratio {Fraction(max(du, dv), min(du, dv))}",
                 )
             )
-            continue
-        k = e.ratio.numerator
-        bound = min(len(t.labels[w]) for w in e.smaller)
-        if k > bound:
+        elif e.ratio > e.bound:
             violations.append(
                 Violation(
                     element=f"e{e.u}-{e.v}",
                     rule="ratio-exceeds-size",
-                    detail=f"edge {e.u}-{e.v} has ratio {k} above smaller-index label size {bound}",
+                    detail=f"edge {e.u}-{e.v} has ratio {e.ratio} above smaller-index label size {e.bound}",
                 )
             )
     return violations
@@ -145,7 +149,7 @@ def _single_ratio(t: _Table) -> Optional[int]:
     if len(ratios) != 1:
         return None
     [r] = ratios
-    return r.numerator if r > 1 else None
+    return r if r > 1 else None
 
 
 def _strong(t: _Table) -> bool:

@@ -44,7 +44,10 @@ def test_tracer_counts_one_sumset_per_edge():
         assert classify(g, lab).isoarithmetic
     finally:
         tracer.uninstall()
+    # construct certifies through classify, so classify runs twice: once
+    # inside construct and once here, each with one sumset per edge
     assert tracer.calls["construct.construct"] == 1
-    assert tracer.calls["verify.classify"] == 1
+    assert tracer.calls["verify.classify"] == 2
     assert tracer.counts["construct.construct.sumsets"] == g.edge_count
-    assert tracer.counts["verify.classify.sumsets"] == g.edge_count
+    assert tracer.counts["verify.classify.sumsets"] == 2 * g.edge_count
+    assert tracer.counts["verify.classify.edges"] == 2 * g.edge_count

@@ -102,6 +102,21 @@ def test_label_side_sizes_via_m_n(run, tmp_path):
     assert sizes == [3, 3, 5, 5]
 
 
+def test_label_side_sizes_on_two_vertices(run, tmp_path):
+    # two --sizes values on a 2-vertex graph also read as per-vertex sizes
+    gpath = write_graph(tmp_path, path(2))
+    code, out, err = run(
+        "label", "--graph", gpath, "--kind", "bipartite_uniform_isoarithmetic",
+        "--sizes", "3,4",
+    )
+    assert code == 0 and err == ""
+    assert [len(s) for s in parse_labeling(out).assignment.values()] == [3, 4]
+    assert run(
+        "label", "--graph", gpath, "--kind", "bipartite_uniform_isoarithmetic",
+        "--m", "3", "--n", "4",
+    )[1] == out
+
+
 def test_label_odd_cycle_single_ratio_is_infeasible(run, tmp_path):
     gpath = write_graph(tmp_path, cycle(5))
     code, _, err = run(
@@ -302,6 +317,13 @@ def test_search_window_below_class_is_input_error(run, tmp_path):
     gpath = write_graph(tmp_path, path(3))
     code, out, err = run("search", "--graph", gpath, "--sizes", "1")
     assert code == 2 and "sizes must be at least 3" in err and out == ""
+
+
+def test_search_repeated_sizes_and_ratios_change_nothing(run, tmp_path):
+    gpath = write_graph(tmp_path, cycle(4))
+    once = run("search", "--graph", gpath, "--sizes", "4", "--k", "2")
+    repeated = run("search", "--graph", gpath, "--sizes", "4,4", "--k", "2,2")
+    assert once[0] == 0 and repeated == once
 
 
 def test_search_size_limit_is_input_error(run, tmp_path):

@@ -15,6 +15,7 @@ from iasi import (
     ConstructionError,
     ConstructSpec,
     InfeasibleError,
+    IntSet,
     Labeling,
     NotBipartiteError,
     RatioBoundError,
@@ -235,6 +236,32 @@ def test_construct_dispatcher_covers_every_kind():
         assert check(g, lab), spec.kind
 
 
+def test_constructors_certify_through_classify(monkeypatch):
+    # {a, a+d, ..., a+(m-2)d, a+md}: injective labels, but not progressions
+    def gapped(first, diff, size):
+        return IntSet(tuple(first + diff * i for i in range(size - 1)) + (first + diff * size,))
+
+    g = complete_bipartite(2, 3)
+    lab = Labeling({v: gapped((1 << v) - 1, 1, 3) for v in g.vertices})
+    assert verify_iasi(g, lab) == (True, [])
+    assert not classify(g, lab).arithmetic
+    monkeypatch.setattr(construct_module, "ap_set", gapped)
+    specs = [
+        ConstructSpec("isoarithmetic", diff=2),
+        ConstructSpec("uniform_isoarithmetic", sizes=4),
+        ConstructSpec("bipartite_uniform_isoarithmetic", sizes=(3, 4)),
+        ConstructSpec("biarithmetic", ratio=2),
+        ConstructSpec("identical_biarithmetic", ratio=2, sizes=(3, 3)),
+        ConstructSpec("strong_biarithmetic", sizes=(3, 4)),
+        ConstructSpec("componentwise_uniform", edge_size=7),
+    ]
+    for spec in specs:
+        with pytest.raises(ConstructionError, match="certification failed"):
+            construct(g, spec)
+    with pytest.raises(ConstructionError, match="certification failed"):
+        search_identical_biarithmetic(cycle(4))
+
+
 def test_construct_dispatcher_rejects_bad_specs():
     g = path(3)
     with pytest.raises(ValueError):
@@ -310,6 +337,13 @@ def test_search_bound_rejects_windows_outside_the_class():
     for bad in [dict(sizes=()), dict(sizes=(3, 1)), dict(ratios=(1, 2)), dict(max_vertices=0)]:
         with pytest.raises(ValueError):
             SearchBound(**bad)
+
+
+def test_search_bound_keeps_sorted_distinct_sizes_and_ratios():
+    bound = SearchBound(sizes=(4, 3, 4), ratios=(3, 2, 3, 2))
+    assert bound.sizes == (3, 4) and bound.ratios == (2, 3)
+    assert bound == SearchBound(sizes=(3, 4), ratios=(2, 3))
+    assert search_identical_biarithmetic(cycle(4), bound) == search_identical_biarithmetic(cycle(4))
 
 
 def test_search_certifies_witness_through_classify(monkeypatch):
