@@ -349,7 +349,8 @@ class SearchBound:
     """Finite window the exhaustive search sweeps.
 
     Sizes below 3, ratios below 2 and a vertex cap below 1 could only
-    give labelings outside the class, so they raise ValueError here.
+    give labelings outside the class, and a negative largest element
+    gives no window at all, so they raise ValueError here.
     Sizes and ratios are then kept as ascending tuples of distinct
     values: a repeat would only sweep the same candidates again.
     """
@@ -360,6 +361,8 @@ class SearchBound:
     max_vertices: int = 8
 
     def __post_init__(self) -> None:
+        if self.max_element < 0:
+            raise ValueError(f"max_element must be at least 0, got {self.max_element}")
         if not self.sizes or min(self.sizes) < 3:
             raise ValueError(f"search sizes must be at least 3, got {self.sizes}")
         if any(k < 2 for k in self.ratios):

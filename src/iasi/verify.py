@@ -1,9 +1,16 @@
 """Verifiers for every labeling class the library knows.
 
 One pass over the raw labels builds a table: each vertex label with
-its common difference, and per edge the sumset f(u) + f(v), the integer
-index ratio (None when it is not an integer) and the size bound of the
-smaller-index endpoint, each computed once.  ``classify`` and every
+its common difference, and per edge a key for the edge label
+f(u) + f(v), its size, the integer index ratio (None when it is not an
+integer) and the size bound of the smaller-index endpoint, each
+computed once.  An edge whose labels are progressions (a, d, m) and
+(b, kd, n) of at least 3 elements, with k an integer and k <= m, has
+the progression (a + b, d, m + k(n - 1)) as its label, so that triple
+is its key and no sumset is built.  Every other edge builds its sumset
+and keys it by its (first, diff, size) triple when it is a progression,
+else by its elements; equal edge labels thus always get equal keys, and
+a collision builds a sumset only to print it.  ``classify`` and every
 ``verify_*`` function project their verdicts from that table; nothing is
 trusted from construction time, and every constructor and the search
 certify their output through ``classify``.  The report's flags
@@ -50,7 +57,11 @@ class VerificationReport:
 class _Edge(NamedTuple):
     u: int
     v: int
-    label: IntSet  # f(u) + f(v)
+    # f(u) + f(v) as (first, diff, size) when a progression (diff 0 for a
+    # singleton), else as (elements,): the shapes never compare equal, so
+    # two edges share a key exactly when they share a label
+    key: tuple
+    size: int  # |f(u) + f(v)|
     ratio: Optional[int]  # larger diff over smaller; None if unknown or not an integer
     bound: int  # size of the smaller-diff label, the smaller size on a tie; 0 if unknown
 
@@ -73,10 +84,18 @@ def _table(g: Graph, lab: Labeling) -> _Table:
         du, dv = diffs[u], diffs[v]
         ratio, bound = None, 0
         if du is not None and dv is not None:
-            (lo, bound), (hi, _) = sorted(((du, len(labels[u])), (dv, len(labels[v]))))
+            (lo, bound), (hi, n) = sorted(((du, len(labels[u])), (dv, len(labels[v]))))
             if hi % lo == 0:
                 ratio = hi // lo
-        edges.append(_Edge(u, v, sumset(labels[u], labels[v]), ratio, bound))
+        if ratio is not None and ratio <= bound:
+            size = bound + ratio * (n - 1)
+            key: tuple = (labels[u].min + labels[v].min, lo, size)
+        else:
+            label = sumset(labels[u], labels[v])
+            size = len(label)
+            ap = detect_ap(label)
+            key = (label.elems,) if ap is None else (*ap, size)
+        edges.append(_Edge(u, v, key, size, ratio, bound))
     return _Table(labels, tuple(diffs), tuple(edges))
 
 
@@ -94,15 +113,16 @@ def _collisions(t: _Table) -> list[Violation]:
                     detail=f"vertices {first} and {v} share label {s}",
                 )
             )
-    by_edge: dict[tuple[int, ...], tuple[int, int]] = {}
+    by_edge: dict[tuple, tuple[int, int]] = {}
     for e in t.edges:
-        pu, pv = by_edge.setdefault(e.label.elems, (e.u, e.v))
+        pu, pv = by_edge.setdefault(e.key, (e.u, e.v))
         if (pu, pv) != (e.u, e.v):
+            label = sumset(t.labels[e.u], t.labels[e.v])
             violations.append(
                 Violation(
                     element=f"e{pu}-{pv},e{e.u}-{e.v}",
                     rule="edge-label-collision",
-                    detail=f"edges {pu}-{pv} and {e.u}-{e.v} share label {e.label}",
+                    detail=f"edges {pu}-{pv} and {e.u}-{e.v} share label {label}",
                 )
             )
     return violations
@@ -153,11 +173,11 @@ def _single_ratio(t: _Table) -> Optional[int]:
 
 
 def _strong(t: _Table) -> bool:
-    return all(len(e.label) == len(t.labels[e.u]) * len(t.labels[e.v]) for e in t.edges)
+    return all(e.size == len(t.labels[e.u]) * len(t.labels[e.v]) for e in t.edges)
 
 
 def _uniform(t: _Table) -> tuple[Optional[int], Optional[int]]:
-    edge_sizes = {len(e.label) for e in t.edges}
+    edge_sizes = {e.size for e in t.edges}
     vertex_sizes = {len(s) for s in t.labels}
     edge_k = edge_sizes.pop() if len(edge_sizes) == 1 else None
     vertex_l = vertex_sizes.pop() if len(vertex_sizes) == 1 else None
@@ -224,7 +244,7 @@ def classify(g: Graph, lab: Labeling) -> VerificationReport:
     violations = _collisions(t)
     is_iasi = not violations
     vertex_arithmetic = all(d is not None for d in t.diffs)
-    edge_arithmetic = all(detect_ap(e.label) is not None for e in t.edges)
+    edge_arithmetic = all(len(e.key) == 3 for e in t.edges)
 
     arithmetic = False
     isoarithmetic = False

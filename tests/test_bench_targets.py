@@ -12,7 +12,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from iasi import ConstructSpec, Labeling, cycle
+from iasi import ConstructSpec, Labeling, ap_set, cycle
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -31,23 +31,50 @@ def test_every_traced_target_resolves():
     assert callable(importlib.import_module("iasi.graphs").Graph.neighbors)
 
 
-def test_tracer_counts_one_sumset_per_edge():
+def traced(fn):
     spans = load_spans()
     tracer = spans.Tracer()
-    g = cycle(6)
     tracer.install()
     try:
-        construct = importlib.import_module("iasi.construct").construct
-        classify = importlib.import_module("iasi.verify").classify
-        lab = construct(g, ConstructSpec("isoarithmetic"))
-        assert isinstance(lab, Labeling)
-        assert classify(g, lab).isoarithmetic
+        fn()
     finally:
         tracer.uninstall()
-    # construct certifies through classify, so classify runs twice: once
-    # inside construct and once here, each with one sumset per edge
+    return tracer
+
+
+def test_tracer_counts_sumsets_only_for_uncovered_edges():
+    # looked up at call time, so the calls go through the installed wrappers
+    verify = importlib.import_module("iasi.verify")
+    construct = importlib.import_module("iasi.construct")
+
+    # covered: every edge label is the progression triple of its ratio-1
+    # endpoints, so neither the constructor's certify step nor a second
+    # classify builds a sumset
+    g = cycle(6)
+
+    def covered():
+        lab = construct.construct(g, ConstructSpec("isoarithmetic"))
+        assert isinstance(lab, Labeling)
+        assert verify.classify(g, lab).isoarithmetic
+
+    tracer = traced(covered)
     assert tracer.calls["construct.construct"] == 1
     assert tracer.calls["verify.classify"] == 2
-    assert tracer.counts["construct.construct.sumsets"] == g.edge_count
-    assert tracer.counts["verify.classify.sumsets"] == 2 * g.edge_count
+    assert tracer.counts["construct.construct.sumsets"] == 0
+    assert tracer.counts["verify.classify.sumsets"] == 0
     assert tracer.counts["verify.classify.edges"] == 2 * g.edge_count
+
+    # uncovered: ratio 4 above size 3 on every edge, so each edge label
+    # is built once; the first terms have distinct pairwise sums far apart,
+    # so no collision builds one more
+    lab = Labeling({v: ap_set(4**v, 4 if v % 2 else 1, 3) for v in g.vertices})
+
+    def uncovered():
+        rep = verify.classify(g, lab)
+        assert rep.is_iasi and not rep.arithmetic
+        assert {x.rule for x in rep.violations} == {"ratio-exceeds-size"}
+
+    tracer = traced(uncovered)
+    assert tracer.calls["verify.classify"] == 1
+    assert tracer.counts["verify.classify.sumsets"] == g.edge_count
+    assert tracer.counts["verify.classify.edges"] == g.edge_count

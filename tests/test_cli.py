@@ -319,6 +319,12 @@ def test_search_window_below_class_is_input_error(run, tmp_path):
     assert code == 2 and "sizes must be at least 3" in err and out == ""
 
 
+def test_search_negative_max_element_is_input_error(run, tmp_path):
+    gpath = write_graph(tmp_path, path(3))
+    code, out, err = run("search", "--graph", gpath, "--max-elem", "-5")
+    assert code == 2 and "max_element must be at least 0" in err and out == ""
+
+
 def test_search_repeated_sizes_and_ratios_change_nothing(run, tmp_path):
     gpath = write_graph(tmp_path, cycle(4))
     once = run("search", "--graph", gpath, "--sizes", "4", "--k", "2")

@@ -339,6 +339,13 @@ def test_search_bound_rejects_windows_outside_the_class():
             SearchBound(**bad)
 
 
+def test_search_bound_rejects_negative_max_element():
+    # used to sweep an empty window and report it exhausted
+    with pytest.raises(ValueError, match="max_element must be at least 0"):
+        SearchBound(max_element=-5)
+    assert search_identical_biarithmetic(path(3), SearchBound(max_element=0)) is None
+
+
 def test_search_bound_keeps_sorted_distinct_sizes_and_ratios():
     bound = SearchBound(sizes=(4, 3, 4), ratios=(3, 2, 3, 2))
     assert bound.sizes == (3, 4) and bound.ratios == (2, 3)

@@ -17,6 +17,13 @@ the audit as it was when it listed every pair with
 match on every theorem id and alias, skipped points and huge
 differences included.
 
+``classify`` keys each edge label by its progression triple and builds
+no sumset where the closed form gives the label; its oracle is the
+edge table as it was when it built every edge's sumset and ran
+``detect_ap`` on it.  Reports must match flag for flag, violation text
+for violation text, on labelings drawn so that keyed and built edge
+labels collide.
+
 The exhaustive search compares labels by their progression triples;
 its oracle is the depth-first fill that built every candidate as an
 ``IntSet`` and compared full sumsets.  On every window over a graph
@@ -28,9 +35,9 @@ from __future__ import annotations
 import random
 from collections import deque
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iasi import (
@@ -295,6 +302,102 @@ def naive_classify(g, lab):
     )
 
 
+# --- classify oracle: the edge table that built every sumset ------------------------
+
+
+class SumsetEdge(NamedTuple):
+    u: int
+    v: int
+    label: IntSet
+    ratio: Optional[int]
+    bound: int
+
+
+def sumset_table(g, lab):
+    labels = tuple(lab.label(v) for v in g.vertices)
+    diffs = []
+    for s in labels:
+        ap = detect_ap(s) if len(s) >= 3 else None
+        diffs.append(None if ap is None else ap[1])
+    edges = []
+    for u, v in g.edge_list():
+        du, dv = diffs[u], diffs[v]
+        ratio, bound = None, 0
+        if du is not None and dv is not None:
+            (lo, bound), (hi, _) = sorted(((du, len(labels[u])), (dv, len(labels[v]))))
+            if hi % lo == 0:
+                ratio = hi // lo
+        edges.append(SumsetEdge(u, v, sumset(labels[u], labels[v]), ratio, bound))
+    return labels, diffs, edges
+
+
+def naive_table_classify(g, lab):
+    labels, diffs, edges = sumset_table(g, lab)
+    violations = []
+    by_label: dict[tuple[int, ...], int] = {}
+    for v, s in enumerate(labels):
+        first = by_label.setdefault(s.elems, v)
+        if first != v:
+            violations.append(Violation(
+                element=f"v{first},v{v}",
+                rule="vertex-label-collision",
+                detail=f"vertices {first} and {v} share label {s}",
+            ))
+    by_edge: dict[tuple[int, ...], tuple[int, int]] = {}
+    for e in edges:
+        pu, pv = by_edge.setdefault(e.label.elems, (e.u, e.v))
+        if (pu, pv) != (e.u, e.v):
+            violations.append(Violation(
+                element=f"e{pu}-{pv},e{e.u}-{e.v}",
+                rule="edge-label-collision",
+                detail=f"edges {pu}-{pv} and {e.u}-{e.v} share label {e.label}",
+            ))
+    is_iasi = not violations
+    vertex_arithmetic = all(d is not None for d in diffs)
+    arithmetic = isoarithmetic = biarithmetic = False
+    identical: Optional[int] = None
+    if is_iasi and vertex_arithmetic:
+        arith_violations = []
+        for e in edges:
+            if e.ratio is None:
+                du, dv = diffs[e.u], diffs[e.v]
+                arith_violations.append(Violation(
+                    element=f"e{e.u}-{e.v}",
+                    rule="ratio-not-integral",
+                    detail=f"edge {e.u}-{e.v} has index ratio {Fraction(max(du, dv), min(du, dv))}",
+                ))
+            elif e.ratio > e.bound:
+                arith_violations.append(Violation(
+                    element=f"e{e.u}-{e.v}",
+                    rule="ratio-exceeds-size",
+                    detail=f"edge {e.u}-{e.v} has ratio {e.ratio} above smaller-index label size {e.bound}",
+                ))
+        violations += arith_violations
+        arithmetic = not arith_violations
+        if arithmetic:
+            isoarithmetic = all(e.ratio == 1 for e in edges)
+            biarithmetic = bool(edges) and all(e.ratio > 1 for e in edges)
+            ratios = {e.ratio for e in edges}
+            if len(ratios) == 1 and ratios != {1}:
+                [identical] = ratios
+    edge_sizes = {len(e.label) for e in edges}
+    vertex_sizes = {len(s) for s in labels}
+    return VerificationReport(
+        is_iasi=is_iasi,
+        vertex_arithmetic=vertex_arithmetic,
+        edge_arithmetic=all(detect_ap(e.label) is not None for e in edges),
+        arithmetic=arithmetic,
+        isoarithmetic=isoarithmetic,
+        biarithmetic=biarithmetic,
+        identical_biarithmetic=identical,
+        strong=is_iasi and all(len(e.label) == len(labels[e.u]) * len(labels[e.v]) for e in edges),
+        edge_uniform=edge_sizes.pop() if len(edge_sizes) == 1 else None,
+        vertex_uniform=vertex_sizes.pop() if len(vertex_sizes) == 1 else None,
+        violations=tuple(sorted(violations, key=lambda x: (x.element, x.rule))),
+        warnings=tuple(f"vertex {v} is isolated" for v in g.isolated_vertices()),
+    )
+
+
 # --- audit oracle: the pair-listing audit -----------------------------------------
 
 
@@ -442,13 +545,41 @@ pooled = st.sampled_from([ap_set(0, 1, 3), ap_set(1, 1, 3), ap_set(0, 2, 3), ap_
 labels = st.one_of(progressions, progressions, arbitrary_sets, pooled)
 
 
+# labels over a small range: differences 1..4 with sizes 1..5 give ties,
+# ratios above the size and fractional ratios, and the arbitrary sets
+# give non-progressions
+tight_labels = st.one_of(
+    st.builds(ap_set, st.integers(0, 2), st.integers(1, 4), st.integers(3, 5)),
+    st.builds(ap_set, st.integers(0, 2), st.integers(1, 4), st.integers(1, 5)),
+    st.frozensets(st.integers(0, 5), min_size=1, max_size=4).map(lambda s: IntSet(tuple(s))),
+)
+
+
 @st.composite
-def graphs_with_labelings(draw):
+def graphs_with_labelings(draw, label_sets=labels):
     g = draw(graphs())
-    assignment = {v: draw(labels) for v in g.vertices}
+    assignment = {v: draw(label_sets) for v in g.vertices}
     if assignment and draw(st.integers(0, 9)) == 0:
         del assignment[draw(st.sampled_from(sorted(assignment)))]
     return g, Labeling(assignment)
+
+
+@st.composite
+def planted_collisions(draw):
+    """Edge a-b keyed by its triple (s, d, L), edge c-e built as the same
+    progression: {c} + AP(s - c, d, L), or {c, c + jd} + AP(s - c, d, L - j)
+    with j <= L - j, then random extra edges on the four vertices."""
+    d, k = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    m, n = draw(st.integers(max(k, 3), 5)), draw(st.integers(3, 5))
+    a, b = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    size = m + k * (n - 1)
+    c, j = draw(st.integers(0, a + b)), draw(st.integers(0, size // 2))
+    small = ap_set(c, j * d, 2) if j else IntSet((c,))
+    labels = [ap_set(a, d, m), ap_set(b, k * d, n), small, ap_set(a + b - c, d, size - j)]
+    order = draw(st.permutations(range(4)))
+    pairs = [(0, 1), (2, 3)] + draw(st.lists(st.sampled_from([(0, 2), (0, 3), (1, 2), (1, 3)])))
+    edges = {tuple(sorted((order[x], order[y]))) for x, y in pairs}
+    return graph(4, edges), Labeling({order[x]: s for x, s in enumerate(labels)})
 
 
 def outcome(fn, *args):
@@ -492,6 +623,52 @@ def test_verifiers_match_per_verifier_oracles(case):
     g, lab = case
     for fast, naive in VERIFIERS:
         assert outcome(fast, g, lab) == outcome(naive, g, lab), fast.__name__
+
+
+def aps(*triples):
+    return Labeling({v: ap_set(*t) for v, t in enumerate(triples)})
+
+
+def sets(*elems):
+    return Labeling({v: IntSet(e) for v, e in enumerate(elems)})
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(graphs_with_labelings(), graphs_with_labelings(tight_labels), planted_collisions()))
+# keyed {0,1,2}+{0,...,5} and built {0,1,2,3}+{0,4} share {0,...,7}
+@example((graph(4, [(0, 1), (2, 3)]), sets((0, 1, 2), (0, 1, 2, 3, 4, 5), (0, 1, 2, 3), (0, 4))))
+# a non-progression label whose built sumset {0,1,3}+{0,1,2} is the
+# progression keyed for {0,1,2}+{0,1,2,3} at the same vertex
+@example((graph(3, [(0, 1), (1, 2)]), sets((0, 1, 3), (0, 1, 2), (0, 1, 2, 3))))
+# a tie in difference, ratios 2 and 3 within the size, a ratio of 3/2
+@example((graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]), aps((0, 2, 3), (1, 2, 4), (5, 4, 3), (9, 6, 3))))
+# ratio 4 above size 3, then a tie
+@example((graph(3, [(0, 1), (1, 2)]), aps((0, 1, 3), (10, 4, 3), (40, 4, 5))))
+# 1- and 2-element labels and a non-progression
+@example((graph(3, [(0, 1), (1, 2)]), sets((0,), (3, 5), (0, 1, 5))))
+def test_classify_matches_sumset_table(case):
+    g, lab = case
+    assert outcome(classify, g, lab) == outcome(naive_table_classify, g, lab)
+
+
+def test_keyed_triple_never_aliases_built_elements():
+    # (2, 5, 9) is the triple of the first edge label and the elements of the second
+    g = graph(4, [(0, 1), (2, 3)])
+    lab = sets((0, 5, 10, 15, 20), (2, 7, 12, 17, 22), (0,), (2, 5, 9))
+    rep = classify(g, lab)
+    assert rep.is_iasi and rep.violations == ()
+
+
+def test_keyed_edge_collides_with_built_progression():
+    g = graph(4, [(0, 1), (2, 3)])
+    lab = sets((0, 1, 2, 3), (0, 4), (0, 1, 2), (0, 1, 2, 3, 4, 5))
+    rep = classify(g, lab)
+    assert not rep.is_iasi and not rep.strong
+    assert rep.violations == (Violation(
+        element="e0-1,e2-3",
+        rule="edge-label-collision",
+        detail="edges 0-1 and 2-3 share label {0,1,2,3,4,5,6,7}",
+    ),)
 
 
 @settings(max_examples=200, deadline=None)
