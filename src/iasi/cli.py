@@ -230,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, help="x-side label size")
     p.add_argument("--n", type=int, help="y-side label size")
     p.add_argument("--r", type=int, help="edge cardinality for componentwise_uniform")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, help="label offset; only the seed mod 1000 is used")
     p.add_argument("--format", default="labeling", choices=["labeling", "dot"])
     p.add_argument("--out")
     p.set_defaults(func=_cmd_label)

@@ -1,13 +1,22 @@
 """Builders that realize each labeling class on a given graph.
 
-Vertex v takes first term ``(seed mod 1000) + 2**v - 1`` from a pool
-whose spacing doubles at every step.  Pairwise sums of pool values are
-then all distinct, so vertex labels and induced edge labels are
-injective by construction.  Every producer, constructor and search
-alike, returns through one certify step: ``classify`` must call the
-labeling arithmetic (which implies an IASI), and the search's witness
-must also carry the searched ratio on every edge; anything else raises
-ConstructionError.
+Vertex v of a graph with V vertices takes first term
+``(seed mod 1000) + 2pv + (v*v mod p)``, with p the least prime
+>= max(V, 2): the Erdos-Turan Sidon set, whose elements stay below
+2p^2, so labels have O(log V) digits.  Proof sketch that its pairwise
+sums are distinct: a_u + a_v = 2p(u + v) + (u^2 mod p + v^2 mod p), and
+the second part lies in [0, 2p), so a sum fixes s = u + v and
+u^2 + v^2 mod p, hence uv mod p (p odd; for p = 2 the one pair is
+checked by hand).  Then u and v are the two roots of t^2 - st + uv
+over the integers mod p, and as both are below p the pair {u, v} is
+fixed.  The terms also increase strictly, since each step adds at least
+2p - (p - 1).  Every vertex label starts at its first term and every edge
+label at the sum of its endpoints' first terms, so vertex labels and
+induced edge labels are injective by construction.  Every producer,
+constructor and search alike, returns through one certify step
+anyway: ``classify`` must call the labeling arithmetic (which implies
+an IASI), and the search's witness must also carry the searched ratio
+on every edge; anything else raises ConstructionError.
 
 The exhaustive search keys labels by (first, diff, size) and edges by
 (a + b, d, m + k*(n - 1)), the sumset of (a, d, m) and (b, k*d, n) when
@@ -18,8 +27,10 @@ All constructors are pure functions of (graph, parameters, seed).
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from math import isqrt
+from typing import Optional
 
 from .graphs import Bipartition, Graph, _traverse, bipartition
 from .labeling import Labeling
@@ -48,20 +59,21 @@ class SizeLimitError(ConstructionError):
 
 
 def _resolve_sizes(g: Graph, sizes: int | Sequence[int] | dict[int, int]) -> dict[int, int]:
-    if isinstance(sizes, int):
-        out = {v: sizes for v in g.vertices}
-    elif isinstance(sizes, dict):
+    if isinstance(sizes, dict):
         out = dict(sizes)
-    else:
-        seq = list(sizes)
-        if len(seq) != g.vertex_count:
+    elif isinstance(sizes, Sequence):
+        if len(sizes) != g.vertex_count:
             raise ValueError(
-                f"got {len(seq)} sizes for {g.vertex_count} vertices"
+                f"got {len(sizes)} sizes for {g.vertex_count} vertices"
             )
-        out = {v: seq[v] for v in g.vertices}
+        out = dict(zip(g.vertices, sizes))
+    else:
+        out = {v: sizes for v in g.vertices}
     for v in g.vertices:
         if v not in out:
             raise ValueError(f"no size given for vertex {v}")
+        if type(out[v]) is not int:  # exact type: bool is an int subclass
+            raise ValueError(f"label sizes must be integers, vertex {v} got {out[v]!r}")
         if out[v] < 3:
             raise ValueError(f"label sizes must be at least 3, vertex {v} got {out[v]}")
     return out
@@ -82,11 +94,30 @@ def _certify(g: Graph, lab: Labeling, ratio: Optional[int] = None) -> Labeling:
     return lab
 
 
+def _least_prime(n: int) -> int:
+    """The least prime >= max(n, 2), by trial division."""
+    p = max(n, 2)
+    while any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+        p += 1
+    return p
+
+
 def _assign(g: Graph, diffs: dict[int, int], sizes: dict[int, int], seed: int) -> Labeling:
-    """Give vertex v first term (seed mod 1000) + 2**v - 1, then certify."""
+    """Give vertex v first term (seed mod 1000) + 2pv + (v*v mod p), then certify.
+
+    p is the least prime >= max(V, 2).  Only seed mod 1000 is used, so
+    element size never depends on the seed, and seeds s and s + 1000
+    give the same labeling.
+    """
+    if type(seed) is not int:  # exact type: bool is an int subclass
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     base = seed % 1000
+    p = _least_prime(g.vertex_count)
     return _certify(
-        g, Labeling({v: ap_set(base + (1 << v) - 1, diffs[v], sizes[v]) for v in g.vertices})
+        g,
+        Labeling({
+            v: ap_set(base + 2 * p * v + v * v % p, diffs[v], sizes[v]) for v in g.vertices
+        }),
     )
 
 
@@ -348,11 +379,14 @@ def construct(g: Graph, spec: ConstructSpec) -> Labeling:
 class SearchBound:
     """Finite window the exhaustive search sweeps.
 
-    Sizes below 3, ratios below 2 and a vertex cap below 1 could only
-    give labelings outside the class, and a negative largest element
-    gives no window at all, so they raise ValueError here.
-    Sizes and ratios are then kept as ascending tuples of distinct
-    values: a repeat would only sweep the same candidates again.
+    Every field must be exactly int, or a non-empty collection of them
+    for sizes and ratios; anything else raises ValueError here rather
+    than a TypeError mid-search.  Sizes below 3, ratios below 2 and a
+    vertex cap below 1 could only give labelings outside the class, and
+    a negative largest element gives no window at all, so they raise
+    ValueError too.  Sizes and ratios are then kept as ascending tuples
+    of distinct values: a repeat would only sweep the same candidates
+    again.
     """
 
     max_element: int = 30
@@ -361,16 +395,26 @@ class SearchBound:
     max_vertices: int = 8
 
     def __post_init__(self) -> None:
+        for name in ("max_element", "max_vertices"):
+            value = getattr(self, name)
+            if type(value) is not int:  # exact type: bool is an int subclass
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("sizes", "ratios"):
+            raw = getattr(self, name)
+            values = tuple(raw) if isinstance(raw, Iterable) else ()
+            if not values or any(type(x) is not int for x in values):
+                raise ValueError(
+                    f"search {name} must be a non-empty collection of integers, got {raw!r}"
+                )
+            object.__setattr__(self, name, tuple(sorted(set(values))))
         if self.max_element < 0:
             raise ValueError(f"max_element must be at least 0, got {self.max_element}")
-        if not self.sizes or min(self.sizes) < 3:
+        if self.sizes[0] < 3:
             raise ValueError(f"search sizes must be at least 3, got {self.sizes}")
-        if any(k < 2 for k in self.ratios):
+        if self.ratios[0] < 2:
             raise ValueError(f"search ratios must be at least 2, got {self.ratios}")
         if self.max_vertices < 1:
             raise ValueError(f"max_vertices must be at least 1, got {self.max_vertices}")
-        object.__setattr__(self, "sizes", tuple(sorted(set(self.sizes))))
-        object.__setattr__(self, "ratios", tuple(sorted(set(self.ratios))))
 
 
 def search_identical_biarithmetic(g: Graph, bound: SearchBound = SearchBound()) -> Optional[Labeling]:

@@ -80,6 +80,14 @@ def test_isoarithmetic_rejects_bad_parameters():
         construct_isoarithmetic(path(3), sizes=[3, 4])  # wrong length
 
 
+def test_non_integer_sizes_raise_value_error():
+    for sizes in (3.5, True, "345", [3, 4.0, 3], {0: 3, 1: 3, 2: False}):
+        with pytest.raises(ValueError, match="label sizes must be integers"):
+            construct_isoarithmetic(path(3), sizes=sizes)
+    with pytest.raises(ValueError, match="label sizes must be integers"):
+        construct_identical_biarithmetic(path(2), ratio=2, sizes=(3.5, 3))
+
+
 def test_uniform_isoarithmetic_edge_sizes():
     for l in (3, 5, 7):
         g = complete(4)
@@ -199,16 +207,65 @@ def test_componentwise_infeasible_cases():
 # --- first-term pool ------------------------------------------------------------------
 
 
+# least prime >= max(V, 2), written out for the graph orders drawn below
+LEAST_PRIME = {1: 2, 2: 2, 3: 3, 4: 5, 5: 5, 6: 7, 7: 7, 8: 11, 9: 11}
+
+
 def test_default_pool_needs_no_repair():
+    lab = construct_isoarithmetic(path(4), diff=2, sizes=3, seed=2005)
+    assert [lab.label(v).min for v in range(4)] == [5, 16, 29, 39]  # 5 + (0, 11, 24, 34)
     rng = random.Random(3)
     for _ in range(30):
         g = random_graph(rng, max_n=9, p=0.5)
         seed = rng.randint(0, 10_000)
         lab = construct_isoarithmetic(g, diff=rng.randint(1, 5), sizes=3, seed=seed)
-        base = seed % 1000
+        base, p = seed % 1000, LEAST_PRIME[g.vertex_count]
         assert [lab.label(v).min for v in g.vertices] == [
-            base + (1 << v) - 1 for v in g.vertices
+            base + 2 * p * v + v * v % p for v in g.vertices
         ]
+
+
+def test_first_terms_are_sidon():
+    for n in range(1, 301):
+        lab = construct_isoarithmetic(graph(n, []), sizes=3)
+        firsts = [lab.label(v).min for v in range(n)]
+        sums = [a + b for i, a in enumerate(firsts) for b in firsts[i + 1:]]
+        assert len(set(sums)) == len(sums), n
+
+
+def test_least_prime():
+    least_prime = construct_module._least_prime
+    assert [least_prime(n) for n in (0, 1, 2, 3, 4, 7, 8, 9, 24, 25)] == [
+        2, 2, 2, 3, 5, 7, 11, 11, 29, 29
+    ]
+    assert least_prime(2000) == 2003 and least_prime(7919) == 7919
+
+
+def test_seeds_alias_modulo_1000():
+    g = cycle(6)
+    for seed in (0, 7, 999):
+        lab = construct_isoarithmetic(g, diff=2, sizes=3, seed=seed)
+        assert construct_isoarithmetic(g, diff=2, sizes=3, seed=seed + 1000) == lab
+        assert construct_isoarithmetic(g, diff=2, sizes=3, seed=seed - 1000) == lab
+
+
+def test_seed_must_be_an_integer():
+    for seed in (2.5, "7", True, None):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            construct_isoarithmetic(path(3), seed=seed)
+
+
+def test_cli_sparse_outputs_stay_seven_digits():
+    g = path(2000)
+    specs = [
+        ConstructSpec("identical_biarithmetic", ratio=2, seed=999),
+        ConstructSpec("componentwise_uniform", edge_size=7, seed=999),
+        ConstructSpec("bipartite_uniform_isoarithmetic", sizes=(3, 4), seed=999),
+        ConstructSpec("strong_biarithmetic", sizes=(4, 3), seed=999),
+    ]
+    for spec in specs:
+        lab = construct(g, spec)
+        assert max(lab.label(v).max for v in g.vertices) < 10**7, spec.kind
 
 
 # --- dispatcher -----------------------------------------------------------------------
@@ -344,6 +401,25 @@ def test_search_bound_rejects_negative_max_element():
     with pytest.raises(ValueError, match="max_element must be at least 0"):
         SearchBound(max_element=-5)
     assert search_identical_biarithmetic(path(3), SearchBound(max_element=0)) is None
+
+
+def test_search_bound_rejects_non_integer_fields():
+    # a float or string used to pass here and fail mid-search with TypeError
+    bad = [
+        dict(max_element=20.5), dict(max_element="7"), dict(max_element=True),
+        dict(max_vertices=True), dict(max_vertices=8.0),
+        dict(sizes=(3.5,)), dict(sizes=(3, True)), dict(sizes=3), dict(sizes="34"),
+        dict(ratios=(2.0,)), dict(ratios=(False, 2)),
+    ]
+    for kwargs in bad:
+        with pytest.raises(ValueError, match="must be an integer|collection of integers"):
+            SearchBound(**kwargs)
+
+
+def test_search_bound_rejects_empty_ratios():
+    # used to make the search report an exhausted window without searching
+    with pytest.raises(ValueError, match="search ratios must be a non-empty"):
+        SearchBound(ratios=())
 
 
 def test_search_bound_keeps_sorted_distinct_sizes_and_ratios():

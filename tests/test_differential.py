@@ -24,6 +24,12 @@ edge table as it was when it built every edge's sumset and ran
 for violation text, on labelings drawn so that keyed and built edge
 labels collide.
 
+Constructors take first terms from the Erdos-Turan Sidon set
+2pv + (v*v mod p); their oracle is the doubling pool 2**v - 1 they used
+before.  For every dispatcher kind on random graphs both pools must
+give equal ``classify`` reports, or the same exception, and labels
+with the same difference and size at every vertex.
+
 The exhaustive search compares labels by their progression triples;
 its oracle is the depth-first fill that built every candidate as an
 ``IntSet`` and compared full sumsets.  On every window over a graph
@@ -36,6 +42,7 @@ import random
 from collections import deque
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -44,6 +51,8 @@ from iasi import (
     AuditRecord,
     Bipartition,
     ClassProfile,
+    ConstructionError,
+    ConstructSpec,
     IntSet,
     Labeling,
     MissingLabelError,
@@ -60,6 +69,7 @@ from iasi import (
     classify,
     compat_partition,
     components,
+    construct,
     detect_ap,
     graph,
     search_identical_biarithmetic,
@@ -74,7 +84,7 @@ from iasi import (
     verify_uniform,
 )
 from iasi.compat import THEOREMS, _class_histogram, _point_params, _predict
-from iasi.construct import _diff_assignments
+from iasi.construct import _certify, _diff_assignments
 from iasi.graphs import _traverse
 
 # --- graph oracles ------------------------------------------------------------
@@ -523,6 +533,16 @@ def naive_search(g, bound):
     return None
 
 
+# --- first-term oracle: the doubling pool -------------------------------------------
+
+
+def naive_assign(g, diffs, sizes, seed):
+    base = seed % 1000
+    return _certify(
+        g, Labeling({v: ap_set(base + (1 << v) - 1, diffs[v], sizes[v]) for v in g.vertices})
+    )
+
+
 # --- strategies -------------------------------------------------------------------
 
 
@@ -801,3 +821,58 @@ def test_progression_sumset_closed_form(a, b, d, k, m, n):
     else:
         # past the bound every pair has its own sum, so the triple no longer describes the label
         assert len(total) == m * n
+
+
+KINDS = [
+    "isoarithmetic", "uniform_isoarithmetic", "bipartite_uniform_isoarithmetic", "biarithmetic",
+    "identical_biarithmetic", "strong_biarithmetic", "componentwise_uniform",
+]
+
+
+@st.composite
+def construct_cases(draw):
+    kind = draw(st.sampled_from(KINDS))
+    g = draw(st.one_of(graphs(max_n=9), bipartite_graphs(max_n=9), bipartite_graphs(max_n=9)))
+    size = st.integers(3, 6)
+    sizes = {
+        # size 2 is outside every class, so the dispatcher must refuse it
+        "isoarithmetic": st.one_of(
+            size, st.just(2), st.lists(size, min_size=g.vertex_count, max_size=g.vertex_count)
+        ),
+        "uniform_isoarithmetic": size,
+        "bipartite_uniform_isoarithmetic": st.tuples(size, size),
+        "biarithmetic": st.one_of(st.none(), st.none(), size),
+        "identical_biarithmetic": st.tuples(size, size),
+        "strong_biarithmetic": st.tuples(size, size),
+        "componentwise_uniform": st.none(),
+    }[kind]
+    return g, ConstructSpec(
+        kind,
+        diff=draw(st.integers(1, 4)),
+        sizes=draw(sizes),
+        ratio=draw(st.integers(2, 4)),
+        edge_size=draw(st.integers(5, 9)),
+        seed=draw(st.integers(-2000, 5000)),
+    )
+
+
+def constructed(g, spec):
+    try:
+        lab = construct(g, spec)
+    except (ConstructionError, ValueError) as exc:
+        return ("raised", type(exc), str(exc)), None
+    return ("returned", classify(g, lab)), lab
+
+
+@settings(max_examples=400, deadline=None)
+@given(construct_cases())
+def test_sidon_pool_matches_doubling_pool(case):
+    g, spec = case
+    fast, lab = constructed(g, spec)
+    with mock.patch("iasi.construct._assign", naive_assign):
+        naive, naive_lab = constructed(g, spec)
+    assert fast == naive
+    if lab is not None:
+        for v in g.vertices:
+            assert detect_ap(lab.label(v))[1] == detect_ap(naive_lab.label(v))[1]
+            assert len(lab.label(v)) == len(naive_lab.label(v))
