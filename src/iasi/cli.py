@@ -261,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", required=True, help="range lo..hi or CSV")
     p.add_argument("--n", required=True, help="range lo..hi or CSV")
     p.add_argument("--k", help="range lo..hi or CSV (ratio theorems)")
-    p.add_argument("--d", type=int, default=1, help="difference for the witness labels")
+    p.add_argument("--d", type=int, default=1,
+                   help="difference scaling the witness labels; changes no count")
     p.add_argument("--format", default="text", choices=["text", "structured"])
     p.add_argument("--out")
     p.set_defaults(func=_cmd_audit)

@@ -11,20 +11,23 @@ ordered pair under its sum.  Closed-form counts for structured label
 pairs are exposed as predictions and checked by ``audit``, which needs
 only how many pairs share each sum.  That count is the coefficient of
 z^s in A(z)B(z), the product of the indicator polynomials of the two
-labels, so the audit gets every class size exactly from one big-int
-product and lists no pairs.  The audit trusts that count: a failed
-prediction is reported as a mismatch, never raised, so a sweep always
-classifies its whole grid.
+labels.  The audit's witness labels are progressions, so their
+indicators are geometric series: each is built in closed form by
+shifts and one exact division, no set is materialised, and one big-int
+product of the two gives every class size exactly.  That product, not
+any closed form for the sizes, is the observation the predictions are
+checked against.  The audit trusts it: a failed prediction is reported
+as a mismatch, never raised, so a sweep always classifies its whole
+grid.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import gcd
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .sets import IntSet, Ints, ap_set, as_intset
+from .sets import APSet, IntSet, Ints, ap_set, as_intset
 
 THEOREMS = (
     "T-NCC",
@@ -76,38 +79,39 @@ def compat_partition(a: IntSet | Ints, b: IntSet | Ints) -> ClassProfile:
     )
 
 
-def _class_histogram(a: IntSet, b: IntSet) -> dict[int, int]:
-    """Class size -> number of classes of a x b, listing no pairs.
+def _packed_indicator(length: int, step: int, bits: int) -> int:
+    """The indicator polynomial of AP(0, step, length) at z = 2^bits.
+
+    That is the geometric series sum of z^(step*i) for i < length, so it
+    equals (z^(step*length) - 1) / (z^step - 1), an exact division.
+    """
+    return ((1 << bits * step * length) - 1) // ((1 << bits * step) - 1)
+
+
+def _class_histogram(m: int, n: int, k: int) -> dict[int, int]:
+    """Class size -> number of classes of AP(0, 1, m) x AP(0, k, n).
 
     The class of sum s has as many members as the coefficient of z^s in
-    A(z)B(z), where A and B are the indicator polynomials of a and b.
-    Shifting each set to start at 0 and dividing every offset by their
-    common gcd g keeps those coefficients.  Each polynomial is then
-    packed into one integer, w bytes per coefficient (Kronecker
-    substitution), and one big-int product yields all coefficients.  No
-    coefficient exceeds min(|a|, |b|), so w bytes hold it and no carry
-    reaches the next one.
+    A(z)B(z), where A and B are the indicator polynomials of the two
+    progressions.  Each polynomial is packed into one integer, w bytes
+    per coefficient (Kronecker substitution, z = X = 2^(8w)), and one
+    big-int product yields all coefficients.  No coefficient exceeds
+    min(m, n), so w bytes hold it and no carry reaches the next one.
 
-    The product has span + 1 coefficients, where span is the largest
-    offset sum after dividing by g.  For the audit's canonical pair
-    AP(0, d, m), AP(0, kd, n) that span is m - 1 + k(n - 1) whatever d
-    is, and every predictor rejects k > m before the audit counts, so
-    span + 1 <= m*n: the product is never larger than the pair list it
-    replaces.
+    The packed indicators are geometric series, A(X) = (X^m - 1)/(X - 1)
+    and B(X) = (X^(kn) - 1)/(X^k - 1), so each is built by shifts and
+    one exact division; the product and its byte count stay the
+    observation the predictions are checked against.  The audit's
+    canonical pair AP(0, d, m), AP(0, kd, n) shifted to 0 and divided by
+    its gcd d is this pair, so d changes no count.
+
+    The product has m + k(n - 1) coefficients, and every predictor
+    rejects k > m before the audit counts, so that is at most m*n: the
+    product is never larger than the pair list it replaces.
     """
-    lo_a, lo_b = a.min, b.min
-    g = gcd(*(x - lo_a for x in a.elems), *(y - lo_b for y in b.elems)) or 1
-    w = (min(len(a), len(b)).bit_length() + 7) // 8
-    degree = 0  # of the product polynomial
-    product = 1
-    for s, lo in ((a, lo_a), (b, lo_b)):
-        span = (s.max - lo) // g
-        packed = bytearray(w * (span + 1))
-        for x in s.elems:
-            packed[(x - lo) // g * w] = 1
-        product *= int.from_bytes(packed, "little")
-        degree += span
-    coeffs = product.to_bytes(w * (degree + 1), "little")
+    w = (min(m, n).bit_length() + 7) // 8
+    product = _packed_indicator(m, 1, 8 * w) * _packed_indicator(n, k, 8 * w)
+    coeffs = product.to_bytes(w * (m + k * (n - 1)), "little")
     if w == 1:
         counts = Counter(coeffs)
     else:
@@ -278,7 +282,7 @@ def _observe(
 ) -> dict[str, object]:
     top = max(histogram)
     fields = {
-        "histogram": dict(histogram),
+        "histogram": histogram,
         "saturated_size": cap,
         "saturated_count": histogram.get(cap, 0),
         "max_size": top,
@@ -307,16 +311,24 @@ def audit_point(theorem: str, point: GridPoint, diff: int = 1) -> AuditRecord:
     m = pred.params["m"]
     n = pred.params["n"]
     k = pred.params.get("k", 1)
-    a, b = canonical_pair(m, n, k, diff)
-    histogram = _class_histogram(a, b)
+    # the checks canonical_pair makes, in its order, without its sets;
+    # the second can fail only on a size or ratio that is no int, which
+    # some predictors let through
+    APSet(0, diff, m)
+    if type(n) is not int or type(k) is not int:
+        APSet(0, k * diff, n)
+    histogram = _class_histogram(m, n, k)
     observed = _observe(histogram, min(m, n), pred.expected)
-    observed["histogram_full"] = dict(histogram)
+    observed["histogram_full"] = histogram
     detail: list[str] = []
     verdict = "match"
     for key, want in pred.expected.items():
         got = observed[key]
         if got == want:
-            detail.append(f"{key}: predicted {want!r}, observed {got!r}")
+            # both sides are ints or ascending int histograms, so equal
+            # values print alike
+            text = repr(want)
+            detail.append(f"{key}: predicted {text}, observed {text}")
         else:
             verdict = "mismatch"
             detail.append(f"{key}: predicted {want!r}, observed {got!r} <-- differs")

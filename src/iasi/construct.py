@@ -164,7 +164,7 @@ def construct_bipartite_uniform_isoarithmetic(
 def _split_sizes(
     g: Graph, bip: Bipartition, sizes: int | tuple[int, int] | Sequence[int] | dict[int, int]
 ) -> dict[int, int]:
-    if isinstance(sizes, tuple) and len(sizes) == 2 and all(isinstance(s, int) for s in sizes):
+    if isinstance(sizes, tuple) and len(sizes) == 2:
         x_size, y_size = sizes
         sizes = {v: (x_size if v in bip.side_x else y_size) for v in g.vertices}
     return _resolve_sizes(g, sizes)
@@ -249,6 +249,13 @@ def construct_biarithmetic(
     ratio.  When sizes is None each vertex gets the smallest size that
     keeps every incident edge ratio within bounds; explicit sizes that
     are too small raise RatioBoundError.
+
+    Sizes cannot stay polynomial in the vertex count on dense graphs,
+    whatever the coloring.  On a clique of size w every edge ratio is
+    an integer of at least 2, so the w differences form a divisibility
+    chain with every step at least 2, and the two ends of the chain are
+    w - 1 steps apart: the label with the smallest difference needs at
+    least 2^(w - 1) elements.  Sizes are not capped.
     """
     if ratio < 2:
         raise ValueError("ratio must be at least 2")

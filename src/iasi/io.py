@@ -8,7 +8,8 @@ number rather than a silent renumbering.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from collections.abc import Iterable, Mapping
+from typing import Optional
 
 from .compat import AuditRecord, ClassProfile
 from .graphs import Graph, graph
@@ -139,6 +140,28 @@ def _fmt(value: object, compact: bool = False) -> str:
     return str(value)
 
 
+def _prints_alike(a: object, b: object) -> bool:
+    """Whether ``_fmt`` is sure to print a and b as the same text.
+
+    Equality is not enough: True == 1 prints as true and 1, and
+    {True: 1} == {1: 1}.  So besides one object twice, only equal ints
+    and equal mappings from ints to ints qualify.
+    """
+    if a is b:
+        return True
+    if isinstance(a, Mapping):
+        if not isinstance(b, Mapping) or a != b:
+            return False
+        types = {*map(type, a), *map(type, a.values()), *map(type, b), *map(type, b.values())}
+        return types <= {int}
+    return type(a) is int and type(b) is int and a == b
+
+
+def _compact_like(value: object, other: object, other_text: str) -> str:
+    """``_fmt(value, compact=True)``, reusing ``other_text`` when value prints like other."""
+    return other_text if _prints_alike(value, other) else _fmt(value, compact=True)
+
+
 # --- verification reports --------------------------------------------------
 
 
@@ -228,14 +251,21 @@ def serialize_audit(records: Iterable[AuditRecord], fmt: str = "text") -> str:
         for rec in records:
             parts = [f"theorem={rec.prediction.theorem}", _params_str(rec.prediction.params),
                      f"verdict={rec.verdict}"]
+            observed = rec.observed
+            shown: dict[str, str] = {}  # observed key -> its text
             for key, want in rec.prediction.expected.items():
-                parts.append(f"predicted.{key}={_fmt(want, compact=True)}")
-                if rec.observed is not None:
-                    parts.append(f"observed.{key}={_fmt(rec.observed[key], compact=True)}")
-            if rec.observed is not None and "histogram_full" in rec.observed:
-                parts.append(
-                    f"observed.histogram={_fmt(rec.observed['histogram_full'], compact=True)}"
-                )
+                text = _fmt(want, compact=True)
+                parts.append(f"predicted.{key}={text}")
+                if observed is not None:
+                    shown[key] = _compact_like(observed[key], want, text)
+                    parts.append(f"observed.{key}={shown[key]}")
+            if observed is not None and "histogram_full" in observed:
+                full = observed["histogram_full"]
+                if "histogram" in shown:
+                    text = _compact_like(full, observed["histogram"], shown["histogram"])
+                else:
+                    text = _fmt(full, compact=True)
+                parts.append(f"observed.histogram={text}")
             if rec.verdict == "skipped":
                 parts.append(f'reason="{rec.detail[0]}"')
             lines.append(" ".join(x for x in parts if x))

@@ -78,3 +78,20 @@ def test_tracer_counts_sumsets_only_for_uncovered_edges():
     assert tracer.calls["verify.classify"] == 1
     assert tracer.counts["verify.classify.sumsets"] == g.edge_count
     assert tracer.counts["verify.classify.edges"] == g.edge_count
+
+
+def test_tracer_counts_no_sets_for_an_audit():
+    # the audit packs its witness indicators in closed form: it builds
+    # no progression set and lists no pair
+    compat = importlib.import_module("iasi.compat")
+
+    def sweep():
+        records = compat.audit("T-NCC", [(m, n) for m in range(3, 9) for n in range(3, 6)], 3)
+        grid = [(m, n, k) for m in (3, 5) for n in (3, 4) for k in (1, 2, 3)]
+        records += compat.audit("EDGE-SIN", grid)
+        assert {r.verdict for r in records} == {"match"}
+
+    tracer = traced(sweep)
+    assert tracer.calls["compat.audit"] == 2
+    assert tracer.calls["sets.ap_set"] == 0
+    assert tracer.calls["compat.compat_partition"] == 0

@@ -88,6 +88,17 @@ def test_non_integer_sizes_raise_value_error():
         construct_identical_biarithmetic(path(2), ratio=2, sizes=(3.5, 3))
 
 
+def test_side_pair_with_non_integer_member_names_the_bad_size():
+    # a pair on a graph with 3 vertices is side sizes, not a per-vertex list
+    msg = "label sizes must be integers, vertex 0 got 3.5"
+    with pytest.raises(ValueError, match=msg):
+        construct_identical_biarithmetic(path(3), ratio=2, sizes=(3.5, 3))
+    with pytest.raises(ValueError, match=msg):
+        construct_strong_biarithmetic(path(3), sizes=(3.5, 3))
+    with pytest.raises(ValueError, match="vertex 1 got True"):
+        construct_identical_biarithmetic(path(3), ratio=2, sizes=(3, True))
+
+
 def test_uniform_isoarithmetic_edge_sizes():
     for l in (3, 5, 7):
         g = complete(4)

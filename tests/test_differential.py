@@ -11,11 +11,17 @@ labels that are not progressions, labels with fewer than 3 elements,
 labelings that are not set-indexers, uncovered vertices and graphs
 without edges.
 
-The audit counts class sizes by one polynomial product; its oracle is
+The audit counts class sizes by one polynomial product of two
+indicators built in closed form as geometric series; its oracle is
 the audit as it was when it listed every pair with
 ``compat_partition``, and records and their serialized text must
-match on every theorem id and alias, skipped points and huge
-differences included.
+match on every theorem id and alias, skipped points, huge and invalid
+differences included.  The geometric-series indicators must be bit for
+bit the integers the old generic product packed one element at a time.
+The audit serializer formats an observed value once where it prints
+like the predicted one; its oracle formats every value where it is
+printed, and text must match byte for byte, also for equal values
+that print differently (True and 1) and for mapping-proxy histograms.
 
 ``classify`` keys each edge label by its progression triple and builds
 no sumset where the closed form gives the label; its oracle is the
@@ -38,9 +44,10 @@ with edges the search must return the same witness, None or exception.
 
 from __future__ import annotations
 
-import random
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
+from math import gcd
+from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
 from unittest import mock
 
@@ -83,7 +90,7 @@ from iasi import (
     verify_strong,
     verify_uniform,
 )
-from iasi.compat import THEOREMS, _class_histogram, _point_params, _predict
+from iasi.compat import THEOREMS, _class_histogram, _packed_indicator, _point_params, _predict
 from iasi.construct import _certify, _diff_assignments
 from iasi.graphs import _traverse
 
@@ -460,6 +467,81 @@ def naive_audit_point(theorem, point, diff=1):
     return AuditRecord(pred, observed, verdict, tuple(detail))
 
 
+# --- serializer oracle: every value formatted where it is printed -----------------------
+
+
+def naive_histogram(h):
+    return "{" + ", ".join(f"{k}:{h[k]}" for k in sorted(h)) + "}"
+
+
+def naive_fmt(value, compact=False):
+    if isinstance(value, Mapping):
+        if compact:
+            return ",".join(f"{k}:{value[k]}" for k in sorted(value))
+        return naive_histogram(value)
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+def naive_serialize_audit(records, fmt="text"):
+    records = list(records)
+    params = lambda p: " ".join(f"{k}={v}" for k, v in p.items())
+    if fmt == "structured":
+        lines = []
+        for rec in records:
+            parts = [f"theorem={rec.prediction.theorem}", params(rec.prediction.params),
+                     f"verdict={rec.verdict}"]
+            for key, want in rec.prediction.expected.items():
+                parts.append(f"predicted.{key}={naive_fmt(want, compact=True)}")
+                if rec.observed is not None:
+                    parts.append(f"observed.{key}={naive_fmt(rec.observed[key], compact=True)}")
+            if rec.observed is not None and "histogram_full" in rec.observed:
+                parts.append(
+                    f"observed.histogram={naive_fmt(rec.observed['histogram_full'], compact=True)}"
+                )
+            if rec.verdict == "skipped":
+                parts.append(f'reason="{rec.detail[0]}"')
+            lines.append(" ".join(x for x in parts if x))
+        lines.append(naive_summary_line(records))
+        return "\n".join(lines) + "\n"
+    lines = []
+    for rec in records:
+        head = f"{rec.prediction.theorem} {params(rec.prediction.params)}"
+        if rec.verdict == "skipped":
+            lines.append(f"{head}: skipped ({rec.detail[0]})")
+            continue
+        fields = ", ".join(
+            f"{key}={naive_fmt(rec.prediction.expected[key])}" for key in rec.prediction.expected
+        )
+        if rec.verdict == "match":
+            lines.append(f"{head}: match ({fields})")
+        else:
+            observed = ", ".join(
+                f"{key}={naive_fmt(rec.observed[key])}" for key in rec.prediction.expected
+            )
+            hist = ""
+            if rec.observed is not None and "histogram_full" in rec.observed:
+                hist = f"; observed histogram={naive_histogram(rec.observed['histogram_full'])}"
+            lines.append(
+                f"{head}: MISMATCH predicted ({fields}); observed ({observed}){hist}"
+            )
+    lines.append(naive_summary_line(records))
+    return "\n".join(lines) + "\n"
+
+
+def naive_summary_line(records):
+    total = len(records)
+    match = sum(1 for r in records if r.verdict == "match")
+    mismatch = sum(1 for r in records if r.verdict == "mismatch")
+    skipped = sum(1 for r in records if r.verdict == "skipped")
+    if match == total:
+        return f"all {total} grid points match"
+    return f"{total} grid points: {match} match, {mismatch} mismatch, {skipped} skipped"
+
+
 # --- search oracle: candidate sets and full sumsets ---------------------------------
 
 
@@ -700,48 +782,70 @@ def test_sumset_matches_pairwise_sums(a, b):
 # --- class sizes by polynomial product ------------------------------------------------
 
 
-def spread_set(base, lo, step):
-    return IntSet(tuple(lo + step * x for x in base))
+def naive_packed_indicators(a, b):
+    """Pack both indicator polynomials one element at a time.
+
+    Each set is shifted to 0 and divided by the common gcd of all
+    offsets, then written w bytes per coefficient.
+    """
+    lo_a, lo_b = a.min, b.min
+    g = gcd(*(x - lo_a for x in a.elems), *(y - lo_b for y in b.elems)) or 1
+    w = (min(len(a), len(b)).bit_length() + 7) // 8
+    packed = []
+    for s, lo in ((a, lo_a), (b, lo_b)):
+        buf = bytearray(w * ((s.max - lo) // g + 1))
+        for x in s.elems:
+            buf[(x - lo) // g * w] = 1
+        packed.append(int.from_bytes(buf, "little"))
+    return packed[0], packed[1], w
 
 
-# two sets sharing a common factor c on top of small own steps: the
-# gcd normalisation then keeps the product small however large c is
-spread_pairs = st.builds(
-    lambda base_a, base_b, lo_a, lo_b, c, s_a, s_b: (
-        spread_set(base_a, lo_a, c * s_a),
-        spread_set(base_b, lo_b, c * s_b),
-    ),
-    st.frozensets(st.integers(0, 20), min_size=1, max_size=9),
-    st.frozensets(st.integers(0, 20), min_size=1, max_size=9),
-    st.integers(0, 10**6),
-    st.integers(0, 10**6),
-    st.one_of(st.integers(1, 12), st.integers(1, 10**12)),
-    st.integers(1, 4),
-    st.integers(1, 4),
-)
+def naive_class_histogram(a, b):
+    """Class size -> number of classes of any two sets, by one packed product."""
+    pa, pb, w = naive_packed_indicators(a, b)
+    product = pa * pb
+    coeffs = product.to_bytes(max(1, (product.bit_length() + 8 * w - 1) // (8 * w)) * w, "little")
+    counts = Counter(int.from_bytes(coeffs[i : i + w], "little") for i in range(0, len(coeffs), w))
+    del counts[0]
+    return dict(sorted(counts.items()))
 
 
+diffs = st.one_of(st.integers(1, 12), st.integers(10**6, 10**12))
+
+
+# k = 1 + j % m keeps the ratio within 1..m
 @settings(max_examples=400, deadline=None)
-@given(st.one_of(spread_pairs, st.tuples(labels, labels)))
-def test_class_histogram_matches_pair_listing(pair):
-    a, b = pair
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 39), diffs)
+@example(m=300, n=257, j=0, d=1)
+@example(m=256, n=256, j=2, d=3)
+@example(m=260, n=300, j=0, d=10**12)
+@example(m=290, n=256, j=6, d=10**6)
+def test_class_histogram_matches_pair_listing(m, n, j, d):
+    k = 1 + j % m
+    want = compat_partition(*canonical_pair(m, n, k, d)).size_histogram
     # items in order: the audit prints the histogram as it iterates
-    want = compat_partition(a, b).size_histogram
-    assert list(_class_histogram(a, b).items()) == list(want.items())
+    got = _class_histogram(m, n, k)
+    assert list(got.items()) == list(want.items())
 
 
 def test_class_histogram_two_bytes_per_coefficient():
-    # both sizes >= 256, so a coefficient needs two bytes
-    cases = [(ap_set(0, 1, 300), ap_set(5, 1, 257))]
-    rng = random.Random(3)
-    for _ in range(3):
-        a = IntSet(tuple(rng.sample(range(900), 300)))
-        b = IntSet(tuple(7 * x + 11 for x in rng.sample(range(400), 260)))
-        cases.append((a, b))
-    for a, b in cases:
-        want = compat_partition(a, b).size_histogram
-        assert list(_class_histogram(a, b).items()) == list(want.items())
-    assert max(_class_histogram(*cases[0])) == 257
+    # min(m, n) >= 256: a coefficient takes two bytes and the cap needs both
+    assert max(_class_histogram(300, 257, 1)) == 257
+    assert _class_histogram(256, 256, 1)[256] == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 300), st.integers(1, 300), st.integers(0, 299), diffs)
+@example(m=300, n=257, j=4, d=7)
+@example(m=256, n=300, j=255, d=10**12)
+def test_geometric_indicators_match_loop_packing(m, n, j, d):
+    # m >= 2: the common gcd of the canonical pair is then d
+    k = 1 + j % m
+    pa, pb, w = naive_packed_indicators(*canonical_pair(m, n, k, d))
+    assert _packed_indicator(m, 1, 8 * w) == pa
+    assert _packed_indicator(n, k, 8 * w) == pb
+    want = naive_class_histogram(*canonical_pair(m, n, k, d))
+    assert list(_class_histogram(m, n, k).items()) == list(want.items())
 
 
 AUDIT_IDS = THEOREMS + (
@@ -768,10 +872,22 @@ def audit_points(draw):
     return theorem, point[:arity]
 
 
-# huge differences guard the gcd normalisation: without it one product
-# would take about d * span bytes
+# a size or ratio that is no int gets past some predictors
+odd_points = st.tuples(
+    st.sampled_from(AUDIT_IDS),
+    st.sampled_from([(5.0, 3), (5.0, 3, 2), (5, 3, 2.0), (5, 4, True), (6, 3, 3.0)]),
+)
+
+
+# huge differences change no count; invalid ones must raise what
+# canonical_pair raises, though the audit builds no set
+audit_diffs = st.one_of(
+    st.integers(-1, 10), st.integers(10**6, 10**12), st.sampled_from([True, 1.5, "x"])
+)
+
+
 @settings(max_examples=500, deadline=None)
-@given(audit_points(), st.one_of(st.integers(0, 10), st.integers(10**6, 10**12)))
+@given(st.one_of(audit_points(), odd_points), audit_diffs)
 def test_audit_point_matches_pair_listing_audit(case, diff):
     theorem, point = case
     fast = outcome(audit_point, theorem, point, diff)
@@ -780,6 +896,66 @@ def test_audit_point_matches_pair_listing_audit(case, diff):
     if fast[0] == "returned":
         for fmt in ("text", "structured"):
             assert serialize_audit([fast[1]], fmt=fmt) == serialize_audit([naive[1]], fmt=fmt)
+
+
+# equal values that print differently: True == 1, and mappings alike
+# that differ in one such key or value or in their mapping type
+small_ints = st.one_of(st.integers(0, 3), st.booleans())
+histograms = st.dictionaries(small_ints, small_ints, max_size=4)
+audit_values = st.one_of(small_ints, st.none(), histograms, histograms.map(MappingProxyType))
+
+
+@st.composite
+def equal_twin(draw, value):
+    """A value equal to ``value``, of the same or another type."""
+    if isinstance(value, bool) or value in (0, 1) and type(value) is int:
+        return draw(st.sampled_from([value, int(value), bool(value)]))
+    if isinstance(value, Mapping):
+        items = {draw(equal_twin(k)): draw(equal_twin(v)) for k, v in value.items()}
+        return draw(st.sampled_from([items, MappingProxyType(items), value]))
+    return value
+
+
+@st.composite
+def hand_records(draw):
+    keys = draw(st.lists(st.sampled_from(
+        ["histogram", "saturated_size", "saturated_count", "max_count", "class_count"]
+    ), unique=True, max_size=4))
+    expected = {key: draw(audit_values) for key in keys}
+    verdict = draw(st.sampled_from(["match", "mismatch", "skipped"]))
+    pred = Prediction(draw(st.sampled_from(AUDIT_IDS)).upper(), {"m": 4, "n": 3}, expected)
+    if verdict == "skipped":
+        return AuditRecord(pred, None, verdict, ("out of regime",))
+    observed = {
+        key: draw(st.one_of(equal_twin(want), audit_values)) for key, want in expected.items()
+    }
+    if draw(st.booleans()):
+        shown = observed.get("histogram")
+        if not isinstance(shown, Mapping):
+            shown = draw(histograms)
+        observed["histogram_full"] = draw(st.one_of(st.just(shown), equal_twin(shown), histograms))
+    return AuditRecord(pred, observed, verdict, ("detail",))
+
+
+@st.composite
+def audit_records(draw):
+    theorem, point = draw(audit_points())
+    return audit_point(theorem, point, draw(st.integers(1, 9)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(audit_records(), hand_records()), max_size=6))
+@example([audit_point("T-NCC", (40, 12)), audit_point("T-NMCC-II-qpos", (7, 5, 2))])
+@example([AuditRecord(
+    Prediction("T-NCC", {"m": 4, "n": 3}, {"saturated_count": True, "histogram": {1: 2}}),
+    {"saturated_count": 1, "histogram": MappingProxyType({True: 2}),
+     "histogram_full": MappingProxyType({1: 2})},
+    "match",
+    ("detail",),
+)])
+def test_serialize_audit_matches_per_value_formatting(records):
+    for fmt in ("text", "structured"):
+        assert serialize_audit(records, fmt=fmt) == naive_serialize_audit(records, fmt=fmt)
 
 
 @st.composite
