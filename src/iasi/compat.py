@@ -250,7 +250,13 @@ def canonical_pair(m: int, n: int, k: int = 1, diff: int = 1) -> tuple[IntSet, I
 GridPoint = tuple[int, ...]
 
 
+_POINT_NAMES = ("m", "n", "k")
+
+
 def _predict(theorem: str, point: GridPoint) -> Prediction:
+    for name, value in zip(_POINT_NAMES, point):
+        if type(value) is not int:  # exact type: bool is an int subclass
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     t = theorem.upper()
     if t == "T-NCC":
         (m, n) = point
@@ -311,12 +317,9 @@ def audit_point(theorem: str, point: GridPoint, diff: int = 1) -> AuditRecord:
     m = pred.params["m"]
     n = pred.params["n"]
     k = pred.params.get("k", 1)
-    # the checks canonical_pair makes, in its order, without its sets;
-    # the second can fail only on a size or ratio that is no int, which
-    # some predictors let through
+    # the check canonical_pair makes first, without its set; its second
+    # cannot fail, as _predict admits only int sizes and ratios of at least 1
     APSet(0, diff, m)
-    if type(n) is not int or type(k) is not int:
-        APSet(0, k * diff, n)
     histogram = _class_histogram(m, n, k)
     observed = _observe(histogram, min(m, n), pred.expected)
     observed["histogram_full"] = histogram
@@ -336,8 +339,7 @@ def audit_point(theorem: str, point: GridPoint, diff: int = 1) -> AuditRecord:
 
 
 def _point_params(point: GridPoint) -> dict[str, int]:
-    names = ("m", "n", "k")
-    return {names[i]: point[i] for i in range(len(point))}
+    return {_POINT_NAMES[i]: point[i] for i in range(len(point))}
 
 
 def audit(theorem: str, grid: Iterable[GridPoint], diff: int = 1) -> list[AuditRecord]:

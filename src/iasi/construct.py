@@ -20,7 +20,10 @@ on every edge; anything else raises ConstructionError.
 
 The exhaustive search keys labels by (first, diff, size) and edges by
 (a + b, d, m + k*(n - 1)), the sumset of (a, d, m) and (b, k*d, n) when
-k <= m; only the witness is built as sets.
+k <= m; only the witness is built as sets.  It places twins, vertices
+with the same neighbours, in ascending order, so it sweeps each labeling
+once rather than once per order of the twins, and the witness it
+returns is still the least one in its window.
 
 All constructors are pure functions of (graph, parameters, seed).
 """
@@ -436,6 +439,21 @@ def search_identical_biarithmetic(g: Graph, bound: SearchBound = SearchBound()) 
     is exhausted.  The witness returns through the shared certify step
     with the searched ratio, else ConstructionError.  A graph without
     edges has no edge ratio and raises InfeasibleError.
+
+    Twins, vertices with the same neighbours (isolated vertices
+    included), are placed in ascending order: a twin takes a difference
+    no smaller than its earlier twin's and, when the two differences are
+    equal, a (size, first) strictly above it.  Proof sketch that the
+    witness is still the least one: both steps enumerate in
+    lexicographic order along the search order.  Twins are not adjacent,
+    so swapping the whole labels of two twins maps a labeling in the
+    window to one that is valid exactly when it is.  If the least
+    witness had twins with descending differences, the swapped
+    difference map would come earlier and hold a witness; if their
+    differences were equal and their (size, first) descending, the
+    swapped fill would come earlier.  Labels are injective, so twins
+    with equal differences never tie.  So the least witness obeys every
+    twin rule and is never pruned.
     """
     if g.vertex_count > bound.max_vertices:
         raise SizeLimitError(
@@ -445,28 +463,39 @@ def search_identical_biarithmetic(g: Graph, bound: SearchBound = SearchBound()) 
         raise InfeasibleError("a graph without edges has no edge ratio to share")
     max_diff = bound.max_element // (min(bound.sizes) - 1)
     order = [v for comp in _traverse(g)[0] for v in comp.order]
+    twin: dict[int, int] = {}  # vertex -> the last earlier vertex in order with its neighbours
+    last: dict[tuple[int, ...], int] = {}
+    for v in order:
+        nbrs = g.neighbors(v)
+        if nbrs in last:
+            twin[v] = last[nbrs]
+        last[nbrs] = v
 
     for ratio in bound.ratios:
-        for diffs in _diff_assignments(g, order, ratio, max_diff):
-            witness = _fill_labels(g, order, diffs, ratio, bound)
+        for diffs in _diff_assignments(g, order, twin, ratio, max_diff):
+            witness = _fill_labels(g, order, twin, diffs, ratio, bound)
             if witness is not None:
                 return _certify(g, witness, ratio)
     return None
 
 
 def _diff_assignments(
-    g: Graph, order: list[int], ratio: int, max_diff: int
+    g: Graph, order: list[int], twin: dict[int, int], ratio: int, max_diff: int
 ) -> Iterable[dict[int, int]]:
-    """All difference maps where every edge scales by exactly ratio."""
+    """All difference maps where every edge scales by exactly ratio.
+
+    A vertex with an earlier twin takes no difference below the twin's.
+    """
 
     def extend(i: int, diffs: dict[int, int]) -> Iterable[dict[int, int]]:
         if i == len(order):
             yield dict(diffs)
             return
         v = order[i]
+        low = diffs[twin[v]] if v in twin else 1
         assigned = [w for w in g.neighbors(v) if w in diffs]
         if not assigned:
-            candidates = range(1, max_diff + 1)
+            candidates = range(low, max_diff + 1)
         else:
             opts: set[int] = set()
             first = diffs[assigned[0]]
@@ -476,7 +505,7 @@ def _diff_assignments(
             for w in assigned[1:]:
                 keep = {d for d in opts if d == diffs[w] * ratio or d * ratio == diffs[w]}
                 opts = keep
-            candidates = sorted(d for d in opts if 1 <= d <= max_diff)
+            candidates = sorted(d for d in opts if low <= d <= max_diff)
         for d in candidates:
             diffs[v] = d
             yield from extend(i + 1, diffs)
@@ -486,7 +515,12 @@ def _diff_assignments(
 
 
 def _fill_labels(
-    g: Graph, order: list[int], diffs: dict[int, int], ratio: int, bound: SearchBound
+    g: Graph,
+    order: list[int],
+    twin: dict[int, int],
+    diffs: dict[int, int],
+    ratio: int,
+    bound: SearchBound,
 ) -> Optional[Labeling]:
     """Depth-first completion with sizes and first terms ascending.
 
@@ -496,6 +530,8 @@ def _fill_labels(
     only when ratio <= m, so each neighbour's bound check comes before
     its key.  Two edges at one vertex share a key only if their other
     endpoints share a label, so new keys need no check among themselves.
+    A vertex whose earlier twin has the same difference takes only a
+    (size, first) strictly above the twin's.
     """
     labels: dict[int, tuple[int, int, int]] = {}
     edge_keys: set[tuple[int, int, int]] = set()
@@ -506,8 +542,15 @@ def _fill_labels(
         v = order[i]
         d = diffs[v]
         placed = [labels[w] for w in g.neighbors(v) if w in labels]
+        low_size = low_first = 0
+        if v in twin and diffs[twin[v]] == d:
+            twin_first, _, low_size = labels[twin[v]]
+            low_first = twin_first + 1
         for size in bound.sizes:
-            for first in range(bound.max_element - (size - 1) * d + 1):
+            if size < low_size:
+                continue
+            start = low_first if size == low_size else 0
+            for first in range(start, bound.max_element - (size - 1) * d + 1):
                 key = (first, d, size)
                 if key in labels.values():
                     continue

@@ -95,3 +95,20 @@ def test_tracer_counts_no_sets_for_an_audit():
     assert tracer.calls["compat.audit"] == 2
     assert tracer.calls["sets.ap_set"] == 0
     assert tracer.calls["compat.compat_partition"] == 0
+
+
+def test_tracer_counts_few_neighbour_scans_for_an_exhausted_search():
+    # the four vertices on each side of K4,4 are twins; placed in
+    # ascending order, the search sweeps each labeling once rather than
+    # once per order of each side, which took 21,506 neighbour scans
+    construct = importlib.import_module("iasi.construct")
+    graphs = importlib.import_module("iasi.graphs")
+    g = graphs.complete_bipartite(4, 4)
+    bound = construct.SearchBound(max_element=13, sizes=(4,), ratios=(4,))
+
+    def exhaust():
+        assert construct.search_identical_biarithmetic(g, bound) is None
+
+    tracer = traced(exhaust)
+    assert tracer.calls["construct.search"] == 1
+    assert tracer.calls["graphs.neighbors"] < 2150

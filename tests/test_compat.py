@@ -194,6 +194,21 @@ def test_audit_point_skips_out_of_regime():
     assert rec.verdict == "skipped"
 
 
+def test_audit_point_skips_members_that_are_not_ints():
+    # a float used to reach range() or the witness check and raise there
+    cases = [
+        ("T-NCC", (3.0, 5), "m must be an integer, got 3.0"),
+        ("T-NSC-II", (9, 4.0, 2), "n must be an integer, got 4.0"),
+        ("T-NMCC-II", (5, 3, 2.0), "k must be an integer, got 2.0"),
+        ("EDGE-SIN", (3.0, 5, 7), "m must be an integer, got 3.0"),
+        ("EDGE-SIN", (5, 4, True), "k must be an integer, got True"),
+    ]
+    for theorem, point, reason in cases:
+        rec = audit_point(theorem, point)
+        assert rec.verdict == "skipped" and rec.observed is None
+        assert rec.detail == (reason,)
+
+
 def test_audit_sweep_covers_grid():
     grid = [(m, n) for m in range(3, 8) for n in range(3, 8)]
     records = audit("T-NCC", grid)

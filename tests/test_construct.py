@@ -39,6 +39,7 @@ from iasi import (
     graph,
     path,
     search_identical_biarithmetic,
+    serialize_labeling,
     star,
     verify_biarithmetic,
     verify_iasi,
@@ -357,6 +358,44 @@ def test_search_frozen_witness_on_four_cycle():
         3: (1, 3, 5),
     }
     assert verify_identical_biarithmetic(cycle(4), lab) == 2
+
+
+# K4,4 and K3,4 put four and three interchangeable vertices on a side,
+# so these windows exercise the twin order; the texts and refusals are
+# the ones the search gave before it placed twins in ascending order
+K44_WITNESS = """\
+0: 0 1 2 3
+1: 4 5 6 7
+2: 8 9 10 11
+3: 12 13 14 15
+4: 0 4 8 12
+5: 1 5 9 13
+6: 2 6 10 14
+7: 3 7 11 15
+"""
+K34_WITNESS = """\
+0: 0 1 2 3
+1: 4 5 6 7
+2: 8 9 10 11
+3: 0 4 8 12
+4: 1 5 9 13
+5: 2 6 10 14
+6: 3 7 11 15
+"""
+
+
+def test_search_pinned_witnesses_on_complete_bipartite_graphs():
+    bound = SearchBound(max_element=18, sizes=(4,), ratios=(4,))
+    for (m, n), text in [((4, 4), K44_WITNESS), ((3, 4), K34_WITNESS)]:
+        witness = search_identical_biarithmetic(complete_bipartite(m, n), bound)
+        assert serialize_labeling(witness) == text
+
+
+def test_search_exhausts_pinned_complete_bipartite_windows():
+    g = complete_bipartite(4, 4)
+    for top, sizes in [(13, (4,)), (14, (4, 5))]:
+        bound = SearchBound(max_element=top, sizes=sizes, ratios=(4,))
+        assert search_identical_biarithmetic(g, bound) is None
 
 
 def test_search_finds_witnesses_on_even_structures():

@@ -36,10 +36,13 @@ before.  For every dispatcher kind on random graphs both pools must
 give equal ``classify`` reports, or the same exception, and labels
 with the same difference and size at every vertex.
 
-The exhaustive search compares labels by their progression triples;
-its oracle is the depth-first fill that built every candidate as an
-``IntSet`` and compared full sumsets.  On every window over a graph
-with edges the search must return the same witness, None or exception.
+The exhaustive search compares labels by their progression triples
+and places twins (vertices with the same neighbours) in ascending
+order; its oracle is the depth-first fill that built every candidate as
+an ``IntSet`` and compared full sumsets, over every difference map with
+twins in any order.  On every window over a graph with edges the search
+must return the same witness, None or exception, also on graphs drawn
+to have many twins, and in every witness twins come in ascending order.
 """
 
 from __future__ import annotations
@@ -91,7 +94,7 @@ from iasi import (
     verify_uniform,
 )
 from iasi.compat import THEOREMS, _class_histogram, _packed_indicator, _point_params, _predict
-from iasi.construct import _certify, _diff_assignments
+from iasi.construct import _certify
 from iasi.graphs import _traverse
 
 # --- graph oracles ------------------------------------------------------------
@@ -602,11 +605,39 @@ def naive_fill_labels(g, order, diffs, ratio, bound):
     return None
 
 
+def naive_diff_assignments(g, order, ratio, max_diff):
+    """Every difference map in lexicographic order along order, twins in any order."""
+
+    def extend(i, diffs):
+        if i == len(order):
+            yield dict(diffs)
+            return
+        v = order[i]
+        assigned = [w for w in naive_neighbors(g, v) if w in diffs]
+        if not assigned:
+            candidates = range(1, max_diff + 1)
+        else:
+            opts = set()
+            first = diffs[assigned[0]]
+            opts.add(first * ratio)
+            if first % ratio == 0:
+                opts.add(first // ratio)
+            for w in assigned[1:]:
+                opts = {d for d in opts if d == diffs[w] * ratio or d * ratio == diffs[w]}
+            candidates = sorted(d for d in opts if 1 <= d <= max_diff)
+        for d in candidates:
+            diffs[v] = d
+            yield from extend(i + 1, diffs)
+            del diffs[v]
+
+    yield from extend(0, {})
+
+
 def naive_search(g, bound):
     max_diff = bound.max_element // (min(bound.sizes) - 1)
     order = [v for c in naive_components(g) for v in naive_bfs_order(g, c[0])]
     for ratio in sorted(bound.ratios):
-        for diffs in _diff_assignments(g, order, ratio, max_diff):
+        for diffs in naive_diff_assignments(g, order, ratio, max_diff):
             witness = naive_fill_labels(g, order, diffs, ratio, bound)
             if witness is not None:
                 ok, violations = naive_verify_iasi(g, witness)
@@ -872,11 +903,13 @@ def audit_points(draw):
     return theorem, point[:arity]
 
 
-# a size or ratio that is no int gets past some predictors
-odd_points = st.tuples(
-    st.sampled_from(AUDIT_IDS),
-    st.sampled_from([(5.0, 3), (5.0, 3, 2), (5, 3, 2.0), (5, 4, True), (6, 3, 3.0)]),
-)
+@st.composite
+def odd_points(draw):
+    """A point on any id with one member that is no int: a float or a bool."""
+    theorem, point = draw(audit_points())
+    i = draw(st.integers(0, len(point) - 1))
+    odd = draw(st.sampled_from([float(point[i]), point[i] + 0.5, True, False]))
+    return theorem, point[:i] + (odd,) + point[i + 1:]
 
 
 # huge differences change no count; invalid ones must raise what
@@ -887,12 +920,14 @@ audit_diffs = st.one_of(
 
 
 @settings(max_examples=500, deadline=None)
-@given(st.one_of(audit_points(), odd_points), audit_diffs)
+@given(st.one_of(audit_points(), odd_points()), audit_diffs)
 def test_audit_point_matches_pair_listing_audit(case, diff):
     theorem, point = case
     fast = outcome(audit_point, theorem, point, diff)
     naive = outcome(naive_audit_point, theorem, point, diff)
     assert fast == naive
+    if any(type(x) is not int for x in point):
+        assert fast[0] == "returned" and fast[1].verdict == "skipped"
     if fast[0] == "returned":
         for fmt in ("text", "structured"):
             assert serialize_audit([fast[1]], fmt=fmt) == serialize_audit([naive[1]], fmt=fmt)
@@ -968,11 +1003,38 @@ def bipartite_graphs(draw, max_n=7):
 
 
 @st.composite
+def complete_bipartite_graphs(draw):
+    a, b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return graph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+
+
+@st.composite
+def cloned_graphs(draw):
+    """Vertices that copy another vertex's neighbours, with no edge to it."""
+    g = draw(graphs(max_n=5).filter(lambda g: g.vertex_count))
+    n, edges = g.vertex_count, set(g.edges)
+    for _ in range(draw(st.integers(1, 3))):
+        original = draw(st.integers(0, n - 1))
+        edges |= {tuple(sorted((n, w))) for w in naive_neighbors(graph(n, edges), original)}
+        n += 1
+    return graph(n, edges)
+
+
+@st.composite
+def graphs_with_isolated_vertices(draw):
+    g = draw(graphs(max_n=5))
+    return graph(g.vertex_count + draw(st.integers(2, 3)), g.edges)
+
+
+@st.composite
 def search_windows(draw):
-    # odd cycles fail at the difference step, so bipartite graphs are most of the draw
-    g = draw(st.one_of(graphs(max_n=7), bipartite_graphs(), bipartite_graphs()).filter(
-        lambda g: g.edges
-    ))
+    # odd cycles fail at the difference step, so bipartite graphs are most
+    # of the draw; random graphs rarely have twins (vertices with the same
+    # neighbours), so complete bipartite, cloned and isolated vertices add them
+    g = draw(st.one_of(
+        graphs(max_n=7), bipartite_graphs(), bipartite_graphs(),
+        complete_bipartite_graphs(), cloned_graphs(), graphs_with_isolated_vertices(),
+    ).filter(lambda g: g.edges))
     sizes = tuple(draw(st.lists(st.integers(3, 6), min_size=1, max_size=3)))
     ratios = tuple(draw(st.lists(st.integers(2, 5), min_size=1, max_size=2)))
     return g, SearchBound(max_element=draw(st.integers(0, 24)), sizes=sizes, ratios=ratios)
@@ -982,7 +1044,25 @@ def search_windows(draw):
 @given(search_windows())
 def test_search_matches_sumset_search(case):
     g, bound = case
-    assert outcome(search_identical_biarithmetic, g, bound) == outcome(naive_search, g, bound)
+    fast, naive = outcome(search_identical_biarithmetic, g, bound), outcome(naive_search, g, bound)
+    assert fast == naive
+    for result in (fast, naive):
+        if result[0] == "returned" and result[1] is not None:
+            assert_twins_ascending(g, result[1])
+
+
+def assert_twins_ascending(g, lab):
+    """Twins come in the search order with ascending differences, and
+    twins of equal difference with ascending (size, first)."""
+    order = [v for c in naive_components(g) for v in naive_bfs_order(g, c[0])]
+    key = {}
+    for v in order:
+        elems = lab.label(v).elems
+        key[v] = (elems[1] - elems[0], len(elems), elems[0])
+    for i, t in enumerate(order):
+        for v in order[i + 1:]:
+            if naive_neighbors(g, t) == naive_neighbors(g, v):
+                assert key[t] < key[v], (t, v, key[t], key[v])
 
 
 @settings(max_examples=300, deadline=None)
