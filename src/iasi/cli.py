@@ -4,12 +4,19 @@ Verbs: gen, label, verify, classes, audit, search.  Exit status is 0
 on success, 1 when a verification or search comes back negative, 2 on
 usage or input errors, 3 when a requested construction is infeasible.
 Ranges are written lo..hi (inclusive) and lists as comma-separated
-values; --seed falls back to the IASI_SEED environment variable.
+values; an empty range or list is a usage error.  --seed falls back to
+the IASI_SEED environment variable.
+
+``main`` builds its parser once per process, on its first call, and
+reuses it: parsing only reads the parser, and every argument default
+is None, an int or a str, so no call leaks state into the next.
+``build_parser`` still returns a fresh parser each time.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -42,12 +49,16 @@ from .verify import classify
 
 
 def _parse_values(text: str) -> list[int]:
-    """'3..12' (inclusive), '2,3', or '5' -> list of ints."""
+    """'3..12' (inclusive), '2,3', or '5' -> non-empty list of ints."""
     text = text.strip()
     if ".." in text:
         lo, _, hi = text.partition("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(p) for p in text.split(",") if p]
+        values = list(range(int(lo), int(hi) + 1))
+    else:
+        values = [int(p) for p in text.split(",") if p]
+    if not values:
+        raise ValueError(f"{text!r} gives no values")
+    return values
 
 
 def _resolve_seed(value: Optional[int]) -> int:
@@ -278,9 +289,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConstructionError as exc:

@@ -253,19 +253,28 @@ GridPoint = tuple[int, ...]
 _POINT_NAMES = ("m", "n", "k")
 
 
+def _members(theorem: str, point: GridPoint, count: int) -> GridPoint:
+    """``point`` if it has ``count`` members; else raise the skip reason."""
+    if len(point) != count:
+        names = ", ".join(_POINT_NAMES[:count])
+        plural = "" if len(point) == 1 else "s"
+        raise ValueError(f"{theorem} points are ({names}), got {len(point)} member{plural}")
+    return point
+
+
 def _predict(theorem: str, point: GridPoint) -> Prediction:
     for name, value in zip(_POINT_NAMES, point):
         if type(value) is not int:  # exact type: bool is an int subclass
             raise ValueError(f"{name} must be an integer, got {value!r}")
     t = theorem.upper()
     if t == "T-NCC":
-        (m, n) = point
+        (m, n) = _members(t, point, 2)
         return predict_iso(m, n)
     if t == "T-NSC-II":
-        (m, n, k) = point
+        (m, n, k) = _members(t, point, 3)
         return predict_bi_saturated(m, n, k)
     if t in ("T-NMCC-II", "T-NMCC-II-Q0", "T-NMCC-II-QPOS"):
-        (m, n, k) = point
+        (m, n, k) = _members(t, point, 3)
         pred = predict_bi_maximal(m, n, k)
         if t == "T-NMCC-II-Q0" and pred.theorem != "T-NMCC-II-q0":
             raise ValueError("point falls in the q > 0 slice")
@@ -273,7 +282,7 @@ def _predict(theorem: str, point: GridPoint) -> Prediction:
             raise ValueError("point falls in the q = 0 slice")
         return pred
     if t in ("EDGE-SIN", "EDGE-SIN-ISO", "EDGE-SIN-BI"):
-        (m, n, k) = point
+        (m, n, k) = _members(t, point, 3)
         pred = _edge_sin_prediction(m, n, k)
         if t == "EDGE-SIN-ISO" and k != 1:
             raise ValueError("iso slice needs k = 1")
@@ -339,7 +348,8 @@ def audit_point(theorem: str, point: GridPoint, diff: int = 1) -> AuditRecord:
 
 
 def _point_params(point: GridPoint) -> dict[str, int]:
-    return {_POINT_NAMES[i]: point[i] for i in range(len(point))}
+    # a point with too many members is skipped; its reason gives the count
+    return dict(zip(_POINT_NAMES, point))
 
 
 def audit(theorem: str, grid: Iterable[GridPoint], diff: int = 1) -> list[AuditRecord]:

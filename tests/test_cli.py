@@ -6,13 +6,15 @@ search, 2 usage or input errors, 3 infeasible construction.
 
 from __future__ import annotations
 
+import argparse
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
-from iasi import parse_graph, parse_labeling, serialize_graph, cycle, path
-from iasi.cli import main
+from iasi import cli, parse_graph, parse_labeling, serialize_graph, cycle, path
+from iasi.cli import build_parser, main
 
 
 @pytest.fixture
@@ -276,6 +278,19 @@ def test_audit_ratio_theorem_needs_k(run):
     assert code == 2 and "--k" in err
 
 
+@pytest.mark.parametrize("flags", [
+    ("--theorem", "t-ncc", "--m", "5..3", "--n", "3..4"),
+    ("--theorem", "t-ncc", "--m", ",", "--n", "3..4"),
+    ("--theorem", "t-nsc-ii", "--m", "5..7", "--n", "3", "--k", "3..1"),
+])
+def test_audit_empty_range_is_usage_error(run, flags):
+    # each used to audit an empty grid and print "all 0 grid points match"
+    code, out, err = run("audit", *flags)
+    empty = next(v for v in flags if v in ("5..3", ",", "3..1"))
+    assert code == 2 and out == ""
+    assert err == f"error: {empty!r} gives no values\n"
+
+
 def test_audit_structured_output(run):
     code, out, _ = run(
         "audit", "--theorem", "edge-sin", "--m", "3,4", "--n", "3",
@@ -336,6 +351,73 @@ def test_search_size_limit_is_input_error(run, tmp_path):
     gpath = write_graph(tmp_path, path(9))
     code, _, err = run("search", "--graph", gpath)
     assert code == 3 and "limited to 8" in err
+
+
+# --- the parser -------------------------------------------------------------------
+
+
+def test_main_builds_one_parser_per_process(run, tmp_path):
+    gpath = str(tmp_path / "g.txt")
+    lpath = str(tmp_path / "lab.txt")
+    cli._parser.cache_clear()
+    with mock.patch.object(cli, "build_parser", wraps=cli.build_parser) as built:
+        assert run("gen", "--kind", "cycle", "--n", "4", "--out", gpath)[0] == 0
+        assert run("label", "--graph", gpath, "--kind", "isoarithmetic", "--out", lpath)[0] == 0
+        with pytest.raises(SystemExit) as usage:
+            main(["gen"])
+        assert usage.value.code == 2
+        assert run("verify", "--graph", gpath, "--labeling", lpath)[0] == 0
+        assert run("audit", "--theorem", "t-ncc", "--m", "3", "--n", "3")[0] == 0
+    assert built.call_count == 1
+
+
+PARSE_TABLE = [
+    ["gen", "--kind", "path", "--n", "5"],
+    ["gen", "--kind", "complete_bipartite", "--m", "2", "--n", "3", "--format", "dot",
+     "--out", "g.dot"],
+    ["label", "--graph", "g.txt", "--kind", "identical_biarithmetic", "--k", "2",
+     "--sizes", "3,4", "--seed", "7"],
+    ["gen", "--n", "5"],  # no --kind: a usage error between valid argvs
+    ["label", "--graph", "g.txt", "--kind", "strong_biarithmetic", "--m", "4", "--n", "3"],
+    ["verify", "--graph", "g.txt", "--labeling", "lab.txt"],
+    ["verify", "--graph", "g.txt", "--labeling", "lab.txt", "--expect", "strong",
+     "--format", "structured"],
+    ["classes", "--set-a", "0,1,2", "--set-b", "0,2,4"],
+    ["search", "--graph"],  # --graph without a value
+    ["classes", "--labeling", "lab.txt", "--edge", "0,1"],
+    ["audit", "--theorem", "t-ncc", "--m", "3..6", "--n", "3,4"],
+    ["audit", "--theorem", "edge-sin", "--m", "3", "--n", "3..5", "--k", "1..2", "--d", "3"],
+    ["search", "--graph", "g.txt"],
+    ["search", "--graph", "g.txt", "--max-elem", "13", "--sizes", "4..5", "--k", "4"],
+]
+
+
+def parse_outcome(parser, argv, capsys):
+    try:
+        result = ("parsed", vars(parser.parse_args(argv)))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    return result, capsys.readouterr()
+
+
+def test_shared_parser_parses_like_a_fresh_one(capsys):
+    shared = cli._parser()
+    outcomes = [parse_outcome(shared, argv, capsys) for argv in PARSE_TABLE]
+    assert [kind for (kind, _), _ in outcomes].count("exit") == 2
+    for argv, got in zip(PARSE_TABLE, outcomes):
+        assert got == parse_outcome(build_parser(), argv, capsys)
+
+
+def test_parser_defaults_are_immutable():
+    # a shared parser is safe only if no parse can change what the next one sees
+    parser = build_parser()
+    (verbs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(verbs.choices) == ["audit", "classes", "gen", "label", "search", "verify"]
+    for name, sub in [("iasi", parser), *verbs.choices.items()]:
+        for action in sub._actions:
+            assert type(action.default) in (type(None), int, str, bool), (name, action.dest)
+        if sub is not parser:
+            assert sub._defaults == {"func": getattr(cli, f"_cmd_{name}")}
 
 
 # --- module entry point -------------------------------------------------------------

@@ -209,6 +209,22 @@ def test_audit_point_skips_members_that_are_not_ints():
         assert rec.detail == (reason,)
 
 
+def test_audit_point_skips_points_of_the_wrong_length():
+    # a point with more than three members used to raise IndexError
+    cases = [
+        ("T-NCC", (1, 2, 3, 4), "T-NCC points are (m, n), got 4 members"),
+        ("EDGE-SIN", (3, 4, 1, 9), "EDGE-SIN points are (m, n, k), got 4 members"),
+        ("T-NSC-II", (9, 4), "T-NSC-II points are (m, n, k), got 2 members"),
+        ("t-nmcc-ii-q0", (6,), "T-NMCC-II-Q0 points are (m, n, k), got 1 member"),
+        ("T-NCC", (), "T-NCC points are (m, n), got 0 members"),
+    ]
+    for theorem, point, reason in cases:
+        rec = audit_point(theorem, point)
+        assert rec.verdict == "skipped" and rec.observed is None
+        assert rec.detail == (reason,)
+        assert rec.prediction.params == dict(zip("mnk", point))
+
+
 def test_audit_sweep_covers_grid():
     grid = [(m, n) for m in range(3, 8) for n in range(3, 8)]
     records = audit("T-NCC", grid)

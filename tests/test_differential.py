@@ -16,8 +16,10 @@ indicators built in closed form as geometric series; its oracle is
 the audit as it was when it listed every pair with
 ``compat_partition``, and records and their serialized text must
 match on every theorem id and alias, skipped points, huge and invalid
-differences included.  The geometric-series indicators must be bit for
-bit the integers the old generic product packed one element at a time.
+differences included.  A sweep gives one record per point and never
+raises, whatever the length and members of its points.  The
+geometric-series indicators must be bit for bit the integers the old
+generic product packed one element at a time.
 The audit serializer formats an observed value once where it prints
 like the predicted one; its oracle formats every value where it is
 printed, and text must match byte for byte, also for equal values
@@ -73,6 +75,7 @@ from iasi import (
     VerificationReport,
     Violation,
     ap_set,
+    audit,
     audit_point,
     bipartition,
     canonical_pair,
@@ -931,6 +934,26 @@ def test_audit_point_matches_pair_listing_audit(case, diff):
     if fast[0] == "returned":
         for fmt in ("text", "structured"):
             assert serialize_audit([fast[1]], fmt=fmt) == serialize_audit([naive[1]], fmt=fmt)
+
+
+audit_members = st.one_of(st.integers(-2, 12), st.sampled_from([3.0, 4.5, True, False]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(AUDIT_IDS + ("NO-SUCH-ID",)),
+    st.lists(st.lists(audit_members, max_size=5).map(tuple), max_size=5),
+)
+def test_audit_gives_one_record_per_point_of_any_length(theorem, grid):
+    records = audit(theorem, grid)
+    assert len(records) == len(grid)
+    arity = 2 if theorem.upper() == "T-NCC" else 3
+    for rec, point in zip(records, grid):
+        if len(point) != arity:
+            assert rec.verdict == "skipped"
+            assert rec.prediction.params == dict(zip("mnk", point))
+            if theorem != "NO-SUCH-ID" and all(type(x) is int for x in point):
+                assert f"got {len(point)} member" in rec.detail[0]
 
 
 # equal values that print differently: True == 1, and mappings alike
