@@ -35,7 +35,6 @@ from .construct import (
     construct_identical_biarithmetic,
     construct_isoarithmetic,
     construct_strong_biarithmetic,
-    construct_uniform_isoarithmetic,
     search_identical_biarithmetic,
 )
 from .graphs import (
@@ -50,7 +49,6 @@ from .graphs import (
     generate,
     graph,
     induced_subgraph,
-    is_connected,
     path,
     star,
 )
@@ -70,19 +68,12 @@ from .labeling import (
     Labeling,
     MissingLabelError,
     NotArithmeticError,
-    RatioResult,
-    UndefinedIndexError,
-    deterministic_index,
-    deterministic_ratio,
     edge_label,
-    make_labeling,
-    set_indexing_number,
 )
 from .sets import (
     APSet,
     IntSet,
     ap_set,
-    ap_sumset_size,
     as_intset,
     check_freiman_converse,
     detect_ap,

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 # direct name imports: the package re-exports a construct() function,
 # which shadows the construct submodule as a package attribute
-from .compat import audit, compat_partition
+from .compat import AUDITS, audit, compat_partition
 from .construct import (
     ConstructSpec,
     ConstructionError,
@@ -178,7 +178,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     theorem = args.theorem
     ms = _parse_values(args.m)
     ns = _parse_values(args.n)
-    if theorem == "t-ncc":
+    if AUDITS[theorem.upper()][0] == 2:
         grid = [(m, n) for m in ms for n in ns]
     else:
         if args.k is None:
@@ -265,10 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_classes)
 
     p = sub.add_parser("audit", help="sweep a closed-form count against enumeration")
-    p.add_argument("--theorem", required=True, choices=[
-        "t-ncc", "t-nsc-ii", "t-nmcc-ii", "t-nmcc-ii-q0", "t-nmcc-ii-qpos",
-        "edge-sin", "edge-sin-iso", "edge-sin-bi",
-    ])
+    p.add_argument("--theorem", required=True, choices=[t.lower() for t in AUDITS])
     p.add_argument("--m", required=True, help="range lo..hi or CSV")
     p.add_argument("--n", required=True, help="range lo..hi or CSV")
     p.add_argument("--k", help="range lo..hi or CSV (ratio theorems)")

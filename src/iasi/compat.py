@@ -24,19 +24,11 @@ grid.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Optional
 
 from .sets import APSet, IntSet, Ints, ap_set, as_intset
-
-THEOREMS = (
-    "T-NCC",
-    "T-NSC-II",
-    "T-NMCC-II-q0",
-    "T-NMCC-II-qpos",
-    "EDGE-SIN-ISO",
-    "EDGE-SIN-BI",
-)
 
 
 @dataclass(frozen=True)
@@ -253,43 +245,53 @@ GridPoint = tuple[int, ...]
 _POINT_NAMES = ("m", "n", "k")
 
 
-def _members(theorem: str, point: GridPoint, count: int) -> GridPoint:
-    """``point`` if it has ``count`` members; else raise the skip reason."""
-    if len(point) != count:
-        names = ", ".join(_POINT_NAMES[:count])
-        plural = "" if len(point) == 1 else "s"
-        raise ValueError(f"{theorem} points are ({names}), got {len(point)} member{plural}")
-    return point
+def _slice(
+    predict: Callable[..., Prediction], theorem: str, reason: str
+) -> Callable[..., Prediction]:
+    """``predict`` restricted to the points it files under ``theorem``."""
+
+    def sliced(*point: int) -> Prediction:
+        pred = predict(*point)
+        if pred.theorem != theorem:
+            raise ValueError(reason)
+        return pred
+
+    return sliced
+
+
+# every audit id in upper case, in the order the CLI lists them: how many
+# members its points have, and the predictor they are passed to
+AUDITS: dict[str, tuple[int, Callable[..., Prediction]]] = {
+    "T-NCC": (2, predict_iso),
+    "T-NSC-II": (3, predict_bi_saturated),
+    "T-NMCC-II": (3, predict_bi_maximal),
+    "T-NMCC-II-Q0": (
+        3, _slice(predict_bi_maximal, "T-NMCC-II-q0", "point falls in the q > 0 slice")
+    ),
+    "T-NMCC-II-QPOS": (
+        3, _slice(predict_bi_maximal, "T-NMCC-II-qpos", "point falls in the q = 0 slice")
+    ),
+    "EDGE-SIN": (3, _edge_sin_prediction),
+    "EDGE-SIN-ISO": (3, _slice(_edge_sin_prediction, "EDGE-SIN-ISO", "iso slice needs k = 1")),
+    "EDGE-SIN-BI": (3, _slice(_edge_sin_prediction, "EDGE-SIN-BI", "bi slice needs k >= 2")),
+}
 
 
 def _predict(theorem: str, point: GridPoint) -> Prediction:
+    if not isinstance(point, tuple):
+        raise ValueError(f"a point is a tuple of integers, got {point!r}")
     for name, value in zip(_POINT_NAMES, point):
         if type(value) is not int:  # exact type: bool is an int subclass
             raise ValueError(f"{name} must be an integer, got {value!r}")
-    t = theorem.upper()
-    if t == "T-NCC":
-        (m, n) = _members(t, point, 2)
-        return predict_iso(m, n)
-    if t == "T-NSC-II":
-        (m, n, k) = _members(t, point, 3)
-        return predict_bi_saturated(m, n, k)
-    if t in ("T-NMCC-II", "T-NMCC-II-Q0", "T-NMCC-II-QPOS"):
-        (m, n, k) = _members(t, point, 3)
-        pred = predict_bi_maximal(m, n, k)
-        if t == "T-NMCC-II-Q0" and pred.theorem != "T-NMCC-II-q0":
-            raise ValueError("point falls in the q > 0 slice")
-        if t == "T-NMCC-II-QPOS" and pred.theorem != "T-NMCC-II-qpos":
-            raise ValueError("point falls in the q = 0 slice")
-        return pred
-    if t in ("EDGE-SIN", "EDGE-SIN-ISO", "EDGE-SIN-BI"):
-        (m, n, k) = _members(t, point, 3)
-        pred = _edge_sin_prediction(m, n, k)
-        if t == "EDGE-SIN-ISO" and k != 1:
-            raise ValueError("iso slice needs k = 1")
-        if t == "EDGE-SIN-BI" and k == 1:
-            raise ValueError("bi slice needs k >= 2")
-        return pred
-    raise ValueError(f"unknown theorem id {theorem!r}")
+    t = theorem.upper() if isinstance(theorem, str) else None
+    if t not in AUDITS:
+        raise ValueError(f"unknown theorem id {theorem!r}")
+    count, predict = AUDITS[t]
+    if len(point) != count:
+        names = ", ".join(_POINT_NAMES[:count])
+        plural = "" if len(point) == 1 else "s"
+        raise ValueError(f"{t} points are ({names}), got {len(point)} member{plural}")
+    return predict(*point)
 
 
 def _observe(
@@ -314,14 +316,11 @@ def _observe(
 
 def audit_point(theorem: str, point: GridPoint, diff: int = 1) -> AuditRecord:
     """Predict, count the classes of the canonical pair, compare."""
+    point = tuple(point) if isinstance(point, Iterable) else point
     try:
         pred = _predict(theorem, point)
     except ValueError as exc:
-        pseudo = Prediction(
-            theorem=theorem.upper(),
-            params=_point_params(point),
-            expected={},
-        )
+        pseudo = Prediction(str(theorem).upper(), _point_params(point), {})
         return AuditRecord(pseudo, None, "skipped", (str(exc),))
     m = pred.params["m"]
     n = pred.params["n"]
@@ -349,9 +348,9 @@ def audit_point(theorem: str, point: GridPoint, diff: int = 1) -> AuditRecord:
 
 def _point_params(point: GridPoint) -> dict[str, int]:
     # a point with too many members is skipped; its reason gives the count
-    return dict(zip(_POINT_NAMES, point))
+    return dict(zip(_POINT_NAMES, point)) if isinstance(point, tuple) else {}
 
 
 def audit(theorem: str, grid: Iterable[GridPoint], diff: int = 1) -> list[AuditRecord]:
     """Sweep a parameter grid; every point gets exactly one record."""
-    return [audit_point(theorem, tuple(p), diff) for p in grid]
+    return [audit_point(theorem, p, diff) for p in grid]

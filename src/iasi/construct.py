@@ -37,7 +37,7 @@ from typing import Optional
 
 from .graphs import Bipartition, Graph, _traverse, bipartition
 from .labeling import Labeling
-from .sets import ap_set
+from .sets import _require_ints, ap_set
 from .verify import classify
 
 
@@ -112,8 +112,7 @@ def _assign(g: Graph, diffs: dict[int, int], sizes: dict[int, int], seed: int) -
     element size never depends on the seed, and seeds s and s + 1000
     give the same labeling.
     """
-    if type(seed) is not int:  # exact type: bool is an int subclass
-        raise ValueError(f"seed must be an integer, got {seed!r}")
+    _require_ints(seed=seed)
     base = seed % 1000
     p = _least_prime(g.vertex_count)
     return _certify(
@@ -134,17 +133,11 @@ def construct_isoarithmetic(
     seed: int = 0,
 ) -> Labeling:
     """Every vertex gets the same difference; sizes may vary per vertex."""
+    _require_ints(diff=diff)
     if diff < 1:
         raise ValueError("difference must be positive")
     size_map = _resolve_sizes(g, sizes)
     return _assign(g, {v: diff for v in g.vertices}, size_map, seed)
-
-
-def construct_uniform_isoarithmetic(
-    g: Graph, length: int, diff: int = 1, seed: int = 0
-) -> Labeling:
-    """Shared difference and one label size everywhere."""
-    return construct_isoarithmetic(g, diff=diff, sizes=length, seed=seed)
 
 
 def construct_bipartite_uniform_isoarithmetic(
@@ -185,6 +178,7 @@ def construct_identical_biarithmetic(
     Needs a bipartite graph, ratio >= 2, and every x-side size >= ratio
     (the x side holds the smaller index on each edge).
     """
+    _require_ints(ratio=ratio, diff=diff)
     if ratio < 2:
         raise ValueError("ratio must be at least 2")
     if diff < 1:
@@ -260,6 +254,7 @@ def construct_biarithmetic(
     w - 1 steps apart: the label with the smallest difference needs at
     least 2^(w - 1) elements.  Sizes are not capped.
     """
+    _require_ints(ratio=ratio, diff=diff)
     if ratio < 2:
         raise ValueError("ratio must be at least 2")
     if diff < 1:
@@ -300,6 +295,9 @@ def construct_componentwise_uniform(
     edge_size odd so one size l = (edge_size + 1) / 2 can serve
     everywhere.  Sizes below 3 make the request infeasible.
     """
+    _require_ints(edge_size=edge_size, diff=diff)
+    if diff < 1:
+        raise ValueError("difference must be positive")
     r = edge_size
     if r < 5:
         raise InfeasibleError(f"edge size {r} needs label sizes below 3")
@@ -319,8 +317,6 @@ def construct_componentwise_uniform(
         else:
             for v in comp.order:
                 sizes[v] = (r + 1) // 2
-    if diff < 1:
-        raise ValueError("difference must be positive")
     return _assign(g, {v: diff for v in g.vertices}, sizes, seed)
 
 
@@ -348,7 +344,7 @@ def construct(g: Graph, spec: ConstructSpec) -> Labeling:
     if kind == "uniform_isoarithmetic":
         if not isinstance(spec.sizes, int):
             raise ValueError("uniform_isoarithmetic takes one integer size")
-        return construct_uniform_isoarithmetic(g, spec.sizes, diff=spec.diff, seed=spec.seed)
+        return construct_isoarithmetic(g, diff=spec.diff, sizes=spec.sizes, seed=spec.seed)
     if kind == "bipartite_uniform_isoarithmetic":
         if not (isinstance(spec.sizes, (tuple, list)) and len(spec.sizes) == 2):
             raise ValueError("bipartite_uniform_isoarithmetic takes sizes (m, n)")
@@ -405,10 +401,7 @@ class SearchBound:
     max_vertices: int = 8
 
     def __post_init__(self) -> None:
-        for name in ("max_element", "max_vertices"):
-            value = getattr(self, name)
-            if type(value) is not int:  # exact type: bool is an int subclass
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        _require_ints(max_element=self.max_element, max_vertices=self.max_vertices)
         for name in ("sizes", "ratios"):
             raw = getattr(self, name)
             values = tuple(raw) if isinstance(raw, Iterable) else ()

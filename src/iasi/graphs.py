@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional
 
+from .sets import _require_ints
+
 Edge = tuple[int, int]
 
 
@@ -142,32 +144,32 @@ def bipartition(g: Graph) -> Optional[Bipartition]:
     return Bipartition(side_x, side_y)
 
 
-def is_connected(g: Graph) -> bool:
-    return len(components(g)) <= 1
-
-
 # --- generators --------------------------------------------------------
 
 
 def path(n: int) -> Graph:
+    _require_ints(n=n)
     if n < 1:
         raise ValueError("path needs at least one vertex")
     return graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle(n: int) -> Graph:
+    _require_ints(n=n)
     if n < 3:
         raise ValueError("cycle needs at least three vertices")
     return graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete(n: int) -> Graph:
+    _require_ints(n=n)
     if n < 1:
         raise ValueError("complete graph needs at least one vertex")
     return graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def complete_bipartite(m: int, n: int) -> Graph:
+    _require_ints(m=m, n=n)
     if m < 1 or n < 1:
         raise ValueError("both sides need at least one vertex")
     return graph(m + n, [(i, m + j) for i in range(m) for j in range(n)])
@@ -175,6 +177,7 @@ def complete_bipartite(m: int, n: int) -> Graph:
 
 def star(leaves: int) -> Graph:
     """Vertex 0 joined to ``leaves`` outer vertices."""
+    _require_ints(leaves=leaves)
     if leaves < 1:
         raise ValueError("star needs at least one leaf")
     return graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])

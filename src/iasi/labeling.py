@@ -1,17 +1,17 @@
 """Vertex set-labels and the edge labels they induce.
 
 A labeling maps vertex ids to IntSets.  Edge labels are never stored:
-the label of an edge uv is the sumset f(u) + f(v), computed on demand,
-so a labeling can never drift out of sync with itself.
+``edge_label`` computes the sumset f(u) + f(v) on demand, so a labeling
+can never drift out of sync with itself.  The paper's deterministic
+indices and ratios are read off the labels by ``verify``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping
 
-from .sets import IntSet, Ints, as_intset, detect_ap, sumset
+from .sets import IntSet, Ints, as_intset, sumset
 
 
 class MissingLabelError(Exception):
@@ -22,13 +22,9 @@ class NotArithmeticError(Exception):
     """A label is not an arithmetic progression of at least 3 elements."""
 
 
-class UndefinedIndexError(Exception):
-    """Singleton labels have no usable common difference."""
-
-
 @dataclass(frozen=True)
 class Labeling:
-    """Immutable assignment of IntSets to vertex ids."""
+    """Immutable assignment of IntSets to vertex ids, from any mapping of ids to int iterables."""
 
     assignment: Mapping[int, IntSet]
 
@@ -67,51 +63,8 @@ class Labeling:
         return Labeling({i: self.label(v) for i, v in enumerate(keep)})
 
 
-def make_labeling(mapping: Mapping[int, IntSet | Ints]) -> Labeling:
-    return Labeling(dict(mapping))
-
-
 def edge_label(lab: Labeling, u: int, v: int) -> IntSet:
     """The induced label of edge uv: the sumset of the endpoint labels."""
     if u == v:
         raise ValueError("edges join distinct vertices")
     return sumset(lab.label(u), lab.label(v))
-
-
-def set_indexing_number(s: IntSet | Ints) -> int:
-    """Cardinality of a label, vertex or edge alike."""
-    return len(as_intset(s))
-
-
-def deterministic_index(lab: Labeling, v: int) -> int:
-    """Common difference of the label at v.
-
-    Raises UndefinedIndexError for singletons and NotArithmeticError
-    when the label is not a progression.
-    """
-    s = lab.label(v)
-    if len(s) == 1:
-        raise UndefinedIndexError(f"vertex {v} has a singleton label")
-    ap = detect_ap(s)
-    if ap is None:
-        raise NotArithmeticError(f"label of vertex {v} is not an arithmetic progression")
-    return ap[1]
-
-
-class RatioResult(NamedTuple):
-    ratio: Fraction
-    smaller: tuple[int, ...]  # endpoints holding the smaller index; both on a tie
-
-
-def deterministic_ratio(lab: Labeling, u: int, v: int) -> RatioResult:
-    """Ratio of the larger endpoint index to the smaller, as an exact fraction.
-
-    Always >= 1.  ``smaller`` names the endpoint(s) whose index is the
-    smaller one; ties report both.
-    """
-    du, dv = deterministic_index(lab, u), deterministic_index(lab, v)
-    if du == dv:
-        return RatioResult(Fraction(1), (u, v))
-    if du < dv:
-        return RatioResult(Fraction(dv, du), (u,))
-    return RatioResult(Fraction(du, dv), (v,))

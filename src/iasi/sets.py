@@ -15,6 +15,13 @@ from typing import Iterable, Iterator, Optional
 Ints = Iterable[int]
 
 
+def _require_ints(**values: object) -> None:
+    """Raise ValueError naming the first value that is not exactly an int."""
+    for name, value in values.items():
+        if type(value) is not int:  # exact type: bool is an int subclass
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class IntSet:
     """A non-empty finite set of non-negative integers, kept sorted.
@@ -60,13 +67,6 @@ class IntSet:
     def __str__(self) -> str:
         return "{" + ",".join(str(x) for x in self.elems) + "}"
 
-    def __add__(self, other: "IntSet | Ints | int") -> "IntSet":
-        if isinstance(other, int):
-            return self.translate(other)
-        return sumset(self, other)
-
-    __radd__ = __add__
-
     @property
     def min(self) -> int:
         return self.elems[0]
@@ -74,9 +74,6 @@ class IntSet:
     @property
     def max(self) -> int:
         return self.elems[-1]
-
-    def translate(self, offset: int) -> "IntSet":
-        return IntSet(tuple(x + offset for x in self.elems))
 
 
 def as_intset(values: IntSet | Ints) -> IntSet:
@@ -137,13 +134,6 @@ def detect_ap(s: IntSet | Ints) -> Optional[tuple[int, int]]:
         if e[i] - e[i - 1] != d:
             return None
     return (e[0], d)
-
-
-def ap_sumset_size(m: int, n: int) -> int:
-    """Sumset cardinality for two progressions of sizes m, n sharing a diff."""
-    if m < 1 or n < 1:
-        raise ValueError("sizes must be positive")
-    return m + n - 1
 
 
 def check_freiman_converse(a: IntSet | Ints, b: IntSet | Ints) -> bool:

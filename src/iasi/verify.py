@@ -1,13 +1,14 @@
 """Verifiers for every labeling class the library knows.
 
 One pass over the raw labels builds a table: each vertex label with
-its common difference, and per edge a key for the edge label
-f(u) + f(v), its size, the integer index ratio (None when it is not an
-integer) and the size bound of the smaller-index endpoint, each
-computed once.  An edge whose labels are progressions (a, d, m) and
-(b, kd, n) of at least 3 elements, with k an integer and k <= m, has
-the progression (a + b, d, m + k(n - 1)) as its label, so that triple
-is its key and no sumset is built.  Every other edge builds its sumset
+its common difference, the paper's deterministic index, and per edge a
+key for the edge label f(u) + f(v), its size, its deterministic ratio
+(the larger index over the smaller; None when that is not an integer)
+and the size bound of the smaller-index endpoint, each computed once.
+An edge whose labels are progressions (a, d, m) and (b, kd, n) of at
+least 3 elements, with k an integer and k <= m, has the progression
+(a + b, d, m + k(n - 1)) as its label, so that triple is its key and
+no sumset is built.  Every other edge builds its sumset
 and keys it by its (first, diff, size) triple when it is a progression,
 else by its elements; equal edge labels thus always get equal keys, and
 a collision builds a sumset only to print it.  ``classify`` and every

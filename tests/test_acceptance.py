@@ -12,7 +12,6 @@ from itertools import combinations
 
 from iasi import (
     ap_set,
-    ap_sumset_size,
     audit,
     canonical_pair,
     check_freiman_converse,
@@ -23,7 +22,6 @@ from iasi import (
     construct_identical_biarithmetic,
     construct_isoarithmetic,
     construct_strong_biarithmetic,
-    construct_uniform_isoarithmetic,
     cycle,
     detect_ap,
     disjoint_union,
@@ -57,7 +55,7 @@ def test_criterion_01_sumset_cardinality_random():
         d = rng.randint(1, 10)
         a = ap_set(rng.randint(0, 50), d, m)
         b = ap_set(rng.randint(0, 50), d, n)
-        assert len(sumset(a, b)) == m + n - 1 == ap_sumset_size(m, n)
+        assert len(sumset(a, b)) == m + n - 1 == predict_edge_sin(m, n, 1)
     report(1, "500 random same-difference pairs, sizes 1..12, all m+n-1")
 
 
@@ -100,7 +98,7 @@ def test_criterion_03_isoarithmetic_iff_every_edge_minimal():
 def test_criterion_04_uniform_edge_cardinalities():
     for l in range(3, 9):
         for g in (cycle(5), path(4)):
-            lab = construct_uniform_isoarithmetic(g, l, diff=2)
+            lab = construct_isoarithmetic(g, diff=2, sizes=l)
             assert verify_uniform(g, lab) == (2 * l - 1, l)
     for m in range(3, 7):
         for n in range(3, 7):
@@ -117,7 +115,7 @@ def test_criterion_04_uniform_edge_cardinalities():
 def test_criterion_05_no_strong_shared_difference():
     for m in range(2, 9):
         for n in range(2, 9):
-            assert ap_sumset_size(m, n) != m * n
+            assert predict_edge_sin(m, n, 1) != m * n
     rng = random.Random(105)
     checked = 0
     for _ in range(60):

@@ -32,10 +32,10 @@ from iasi import (
     construct_identical_biarithmetic,
     construct_isoarithmetic,
     construct_strong_biarithmetic,
-    construct_uniform_isoarithmetic,
     cycle,
     disjoint_union,
     edge_label,
+    generate,
     graph,
     path,
     search_identical_biarithmetic,
@@ -103,7 +103,7 @@ def test_side_pair_with_non_integer_member_names_the_bad_size():
 def test_uniform_isoarithmetic_edge_sizes():
     for l in (3, 5, 7):
         g = complete(4)
-        lab = construct_uniform_isoarithmetic(g, l, diff=2)
+        lab = construct_isoarithmetic(g, diff=2, sizes=l)
         assert verify_uniform(g, lab) == (2 * l - 1, l)
 
 
@@ -265,6 +265,35 @@ def test_seed_must_be_an_integer():
     for seed in (2.5, "7", True, None):
         with pytest.raises(ValueError, match="seed must be an integer"):
             construct_isoarithmetic(path(3), seed=seed)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: construct_isoarithmetic(path(3), diff="2"), "diff must be an integer, got '2'"),
+        (lambda: construct_biarithmetic(path(3), ratio="2"), "ratio must be an integer, got '2'"),
+        (lambda: construct_identical_biarithmetic(path(3), ratio="2"), "ratio must be an integer"),
+        (lambda: construct(path(3), ConstructSpec("isoarithmetic", diff=None)), "diff must be"),
+        (lambda: construct(path(3), ConstructSpec("biarithmetic", ratio=2.0)), "ratio must be"),
+        (lambda: construct_componentwise_uniform(path(3), True), "edge_size must be an integer"),
+        (lambda: construct_componentwise_uniform(path(3), 4, diff=0), "difference must be"),
+        (lambda: path(2.5), "n must be an integer, got 2.5"),
+        (lambda: cycle(3.0), "n must be an integer"),
+        (lambda: complete("4"), "n must be an integer"),
+        (lambda: complete_bipartite(2, True), "n must be an integer"),
+        (lambda: star(None), "leaves must be an integer"),
+        (lambda: generate("star", n="3"), "leaves must be an integer"),
+        (lambda: generate("complete_bipartite", m=1.5, n=2), "m must be an integer"),
+    ],
+    ids=[
+        "iso-diff", "bi-ratio", "identical-ratio", "spec-diff", "spec-ratio",
+        "componentwise-bool", "componentwise-diff-first", "path", "cycle", "complete",
+        "complete-bipartite", "star", "generate-star", "generate-complete-bipartite",
+    ],
+)
+def test_parameters_must_be_exact_ints(call, match):
+    with pytest.raises(ValueError, match=f"^{match}"):
+        call()
 
 
 def test_cli_sparse_outputs_stay_seven_digits():

@@ -11,6 +11,7 @@ import random
 import pytest
 
 from iasi import (
+    Labeling,
     ParseError,
     ap_set,
     audit_point,
@@ -22,7 +23,6 @@ from iasi import (
     export_dot,
     format_histogram,
     graph,
-    make_labeling,
     parse_graph,
     parse_labeling,
     path,
@@ -82,7 +82,7 @@ def test_graph_parse_errors_carry_line_numbers(text, line_no):
 
 
 def test_labeling_round_trip_frozen():
-    lab = make_labeling({0: (0, 1, 3), 2: (2, 4)})
+    lab = Labeling({0: (0, 1, 3), 2: (2, 4)})
     text = serialize_labeling(lab)
     assert text == "0: 0 1 3\n2: 2 4\n"
     assert parse_labeling(text) == lab
@@ -130,7 +130,7 @@ def test_format_histogram_exact():
 
 def fixture_report():
     g = path(2)
-    lab = make_labeling({0: ap_set(0, 2, 3), 1: ap_set(1, 2, 4)})
+    lab = Labeling({0: ap_set(0, 2, 3), 1: ap_set(1, 2, 4)})
     return classify(g, lab)
 
 
@@ -155,7 +155,7 @@ def test_report_structured_rendering():
 
 def test_report_lists_violations():
     g = path(3)
-    lab = make_labeling({0: (0, 1, 3), 1: (0, 1, 2, 3), 2: (0, 2, 3)})
+    lab = Labeling({0: (0, 1, 3), 1: (0, 1, 2, 3), 2: (0, 2, 3)})
     rep = classify(g, lab)
     text = serialize_report(rep, fmt="structured")
     assert any(l.startswith("violation=e0-1,e1-2|edge-label-collision|") for l in text.splitlines())

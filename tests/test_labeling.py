@@ -1,29 +1,22 @@
-"""Labelings, induced edge labels, indices and ratios."""
+"""Labelings and the edge labels they induce."""
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 import pytest
 
 from iasi import (
     Labeling,
     MissingLabelError,
-    NotArithmeticError,
-    UndefinedIndexError,
     ap_set,
     detect_ap,
-    deterministic_index,
-    deterministic_ratio,
     edge_label,
-    make_labeling,
-    set_indexing_number,
 )
 
 
 def lab_of(*sets) -> Labeling:
-    return make_labeling({v: s for v, s in enumerate(sets)})
+    return Labeling({v: s for v, s in enumerate(sets)})
 
 
 def test_edge_label_examples():
@@ -48,39 +41,6 @@ def test_edge_label_symmetric_and_bounded():
         assert max(len(a), len(b)) <= len(e) <= len(a) * len(b)
 
 
-def test_set_indexing_number():
-    assert set_indexing_number((4, 9, 14)) == 3
-    lab = lab_of((0, 3, 6), (1, 4, 7, 10))
-    # shared difference: edge cardinality is one less than the size sum
-    assert set_indexing_number(edge_label(lab, 0, 1)) == 6
-
-
-def test_deterministic_index():
-    lab = lab_of((2, 5, 8, 11), (7,), (0, 1, 4))
-    assert deterministic_index(lab, 0) == 3
-    with pytest.raises(UndefinedIndexError):
-        deterministic_index(lab, 1)
-    with pytest.raises(NotArithmeticError):
-        deterministic_index(lab, 2)
-
-
-def test_deterministic_ratio_examples():
-    lab = lab_of(ap_set(0, 2, 3), ap_set(1, 6, 3))
-    res = deterministic_ratio(lab, 0, 1)
-    assert res.ratio == Fraction(3) and res.smaller == (0,)
-    # argument order never changes which endpoint holds the smaller index
-    res = deterministic_ratio(lab, 1, 0)
-    assert res.ratio == Fraction(3) and res.smaller == (0,)
-
-    lab = lab_of(ap_set(0, 4, 3), ap_set(1, 4, 4))
-    res = deterministic_ratio(lab, 0, 1)
-    assert res.ratio == Fraction(1) and res.smaller == (0, 1)
-
-    lab = lab_of(ap_set(0, 6, 3), ap_set(1, 4, 3))
-    res = deterministic_ratio(lab, 0, 1)
-    assert res.ratio == Fraction(3, 2) and res.smaller == (1,)
-
-
 def test_same_index_edges_are_progressions_again():
     rng = random.Random(9)
     for _ in range(80):
@@ -93,7 +53,7 @@ def test_same_index_edges_are_progressions_again():
 
 
 def test_restrict_renumbers_like_induced_subgraph():
-    lab = make_labeling({0: (0, 1), 2: (2, 3), 5: (4, 5)})
+    lab = Labeling({0: (0, 1), 2: (2, 3), 5: (4, 5)})
     sub = lab.restrict([5, 0])
     assert sub.vertices() == (0, 1)
     assert sub.label(0).elems == (0, 1)
@@ -101,12 +61,12 @@ def test_restrict_renumbers_like_induced_subgraph():
 
 
 def test_labeling_validates_and_sorts():
-    lab = make_labeling({3: (5, 1), 0: (2,)})
+    lab = Labeling({3: (5, 1), 0: (2,)})
     assert lab.vertices() == (0, 3)
     assert lab.label(3).elems == (1, 5)
     with pytest.raises(ValueError):
-        make_labeling({-1: (0, 1)})
+        Labeling({-1: (0, 1)})
     with pytest.raises(ValueError):
-        make_labeling({True: (0, 1)})
+        Labeling({True: (0, 1)})
     with pytest.raises(ValueError):
-        make_labeling({0: (True, 2)})
+        Labeling({0: (True, 2)})

@@ -25,7 +25,6 @@ from iasi import (
     edge_label,
     graph,
     induced_subgraph,
-    make_labeling,
     path,
     star,
     sumset,
@@ -59,13 +58,13 @@ def find_edge_collision():
 
 
 def test_iasi_accepts_injective_path():
-    lab = make_labeling({0: (0, 1), 1: (2, 3)})
+    lab = Labeling({0: (0, 1), 1: (2, 3)})
     ok, violations = verify_iasi(path(2), lab)
     assert ok and violations == []
 
 
 def test_iasi_rejects_duplicate_vertex_labels():
-    lab = make_labeling({0: (0, 1), 1: (2, 3), 2: (0, 1)})
+    lab = Labeling({0: (0, 1), 1: (2, 3), 2: (0, 1)})
     ok, violations = verify_iasi(path(3), lab)
     assert not ok
     assert any(v.rule == "vertex-label-collision" for v in violations)
@@ -74,7 +73,7 @@ def test_iasi_rejects_duplicate_vertex_labels():
 def test_iasi_rejects_edge_label_collision():
     a, b, c = find_edge_collision()
     assert (a, b, c) == ((0, 1, 3), (0, 1, 2, 3), (0, 2, 3))  # frozen witness
-    lab = make_labeling({0: a, 1: b, 2: c})
+    lab = Labeling({0: a, 1: b, 2: c})
     ok, violations = verify_iasi(path(3), lab)
     assert not ok
     assert [v.rule for v in violations] == ["edge-label-collision"]
@@ -84,36 +83,36 @@ def test_iasi_rejects_edge_label_collision():
 
 
 def test_arithmetic_integral_bounded_ratio_passes():
-    lab = make_labeling({0: ap_set(0, 2, 4), 1: ap_set(1, 6, 3)})
+    lab = Labeling({0: ap_set(0, 2, 4), 1: ap_set(1, 6, 3)})
     ok, violations = verify_arithmetic(path(2), lab)
     assert ok and violations == []
 
 
 def test_arithmetic_boundary_ratio_equal_size_passes():
-    lab = make_labeling({0: ap_set(0, 2, 3), 1: ap_set(1, 6, 5)})
+    lab = Labeling({0: ap_set(0, 2, 3), 1: ap_set(1, 6, 5)})
     ok, _ = verify_arithmetic(path(2), lab)
     assert ok  # k = 3 equals the smaller-index label size
 
 
 def test_arithmetic_rejects_fractional_ratio():
-    lab = make_labeling({0: ap_set(0, 2, 4), 1: ap_set(1, 7, 3)})
+    lab = Labeling({0: ap_set(0, 2, 4), 1: ap_set(1, 7, 3)})
     ok, violations = verify_arithmetic(path(2), lab)
     assert not ok
     assert violations[0].rule == "ratio-not-integral"
 
 
 def test_arithmetic_rejects_oversized_ratio():
-    lab = make_labeling({0: ap_set(0, 1, 3), 1: ap_set(0, 5, 3)})
+    lab = Labeling({0: ap_set(0, 1, 3), 1: ap_set(0, 5, 3)})
     ok, violations = verify_arithmetic(path(2), lab)
     assert not ok
     assert violations[0].rule == "ratio-exceeds-size"
 
 
 def test_arithmetic_requires_progressions_of_three():
-    lab = make_labeling({0: (0, 1, 4), 1: ap_set(0, 2, 3)})
+    lab = Labeling({0: (0, 1, 4), 1: ap_set(0, 2, 3)})
     with pytest.raises(NotArithmeticError):
         verify_arithmetic(path(2), lab)
-    lab = make_labeling({0: (0, 1), 1: ap_set(0, 2, 3)})
+    lab = Labeling({0: (0, 1), 1: ap_set(0, 2, 3)})
     with pytest.raises(NotArithmeticError):
         verify_arithmetic(path(2), lab)
 
@@ -124,7 +123,7 @@ def test_arithmetic_matches_edge_progression_test():
     for _ in range(150):
         g = random_graph(rng, max_n=7)
         firsts = sidon_firsts(g.vertex_count, offset=rng.randint(0, 5))
-        lab = make_labeling(
+        lab = Labeling(
             {
                 v: ap_set(firsts[v], rng.choice([1, 2, 3, 4, 5, 6]), rng.randint(3, 5))
                 for v in g.vertices
@@ -139,12 +138,12 @@ def test_arithmetic_matches_edge_progression_test():
 
 
 def test_isoarithmetic_shared_diff():
-    lab = make_labeling({v: ap_set(4 * v * v + v, 4, 3) for v in range(3)})
+    lab = Labeling({v: ap_set(4 * v * v + v, 4, 3) for v in range(3)})
     assert verify_isoarithmetic(path(3), lab)
 
 
 def test_isoarithmetic_rejects_mixed_diffs():
-    lab = make_labeling(
+    lab = Labeling(
         {0: ap_set(0, 2, 3), 1: ap_set(1, 2, 3), 2: ap_set(0, 4, 3)}
     )
     assert not verify_isoarithmetic(cycle(3), lab)
@@ -158,23 +157,23 @@ def test_isoarithmetic_rejects_mixed_diffs():
 
 
 def test_biarithmetic_examples():
-    lab = make_labeling({0: ap_set(0, 1, 3), 1: ap_set(0, 2, 3)})
+    lab = Labeling({0: ap_set(0, 1, 3), 1: ap_set(0, 2, 3)})
     assert verify_biarithmetic(path(2), lab)
-    lab = make_labeling({0: ap_set(0, 2, 3), 1: ap_set(1, 2, 3)})
+    lab = Labeling({0: ap_set(0, 2, 3), 1: ap_set(1, 2, 3)})
     assert not verify_biarithmetic(path(2), lab)  # ratio 1
-    lab = make_labeling({0: ap_set(0, 1, 3), 1: ap_set(0, 5, 3)})
+    lab = Labeling({0: ap_set(0, 1, 3), 1: ap_set(0, 5, 3)})
     assert not verify_biarithmetic(path(2), lab)  # ratio 5 over size 3
 
 
 def test_identical_biarithmetic_star():
     center = ap_set(0, 6, 3)
     leaves = [ap_set(1, 2, 3), ap_set(2, 2, 4), ap_set(9, 2, 3)]
-    lab = make_labeling({0: center, 1: leaves[0], 2: leaves[1], 3: leaves[2]})
+    lab = Labeling({0: center, 1: leaves[0], 2: leaves[1], 3: leaves[2]})
     assert verify_identical_biarithmetic(star(3), lab) == 3
 
 
 def test_identical_biarithmetic_needs_one_ratio():
-    lab = make_labeling(
+    lab = Labeling(
         {0: ap_set(0, 1, 3), 1: ap_set(0, 2, 3), 2: ap_set(0, 6, 3)}
     )
     assert verify_biarithmetic(path(3), lab)  # ratios 2 then 3
@@ -182,7 +181,7 @@ def test_identical_biarithmetic_needs_one_ratio():
 
 
 def test_identical_biarithmetic_alternating_cycle():
-    lab = make_labeling(
+    lab = Labeling(
         {
             0: ap_set(0, 1, 3),
             1: ap_set(1, 2, 3),
@@ -197,9 +196,9 @@ def test_identical_biarithmetic_alternating_cycle():
 
 
 def test_strong_examples():
-    lab = make_labeling({0: (0, 1, 2), 1: (0, 3, 6)})
+    lab = Labeling({0: (0, 1, 2), 1: (0, 3, 6)})
     assert verify_strong(path(2), lab)
-    lab = make_labeling({0: (1, 3, 5), 1: (2, 4, 6)})
+    lab = Labeling({0: (1, 3, 5), 1: (2, 4, 6)})
     assert not verify_strong(path(2), lab)
 
 
@@ -283,7 +282,7 @@ def test_classify_flags_respect_containment():
 
 
 def test_classify_handles_degenerate_labels_without_raising():
-    lab = make_labeling({0: (0,), 1: (1, 5), 2: (0, 1, 4)})
+    lab = Labeling({0: (0,), 1: (1, 5), 2: (0, 1, 4)})
     rep = classify(path(3), lab)
     assert rep.is_iasi
     assert not rep.vertex_arithmetic and not rep.arithmetic
@@ -291,7 +290,7 @@ def test_classify_handles_degenerate_labels_without_raising():
 
 def test_classify_warns_on_isolated_vertices():
     g = graph(3, [(0, 1)])
-    lab = make_labeling({0: (0, 1, 2), 1: (0, 2, 4), 2: (0, 3, 6)})
+    lab = Labeling({0: (0, 1, 2), 1: (0, 2, 4), 2: (0, 3, 6)})
     rep = classify(g, lab)
     assert rep.is_iasi
     assert any("isolated" in w for w in rep.warnings)
