@@ -28,7 +28,7 @@ from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from typing import Optional
 
-from .sets import APSet, IntSet, Ints, ap_set, as_intset
+from .sets import APSet, IntSet, Ints, _require_ints, ap_set, as_intset
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,18 @@ class ClassProfile:
     size_histogram: Mapping[int, int]  # class size -> how many classes
 
 
+def _counts(histogram: Mapping[int, int], cap: int) -> dict[str, int]:
+    """The class counts read off a class-size histogram; ``cap`` is min(|A|, |B|)."""
+    top = max(histogram)
+    return {
+        "class_count": sum(histogram.values()),
+        "saturated_size": cap,
+        "saturated_count": histogram.get(cap, 0),
+        "max_size": top,
+        "max_count": histogram[top],
+    }
+
+
 def compat_partition(a: IntSet | Ints, b: IntSet | Ints) -> ClassProfile:
     """Group the ordered pairs of a x b by their sum."""
     sa, sb = as_intset(a), as_intset(b)
@@ -53,21 +65,9 @@ def compat_partition(a: IntSet | Ints, b: IntSet | Ints) -> ClassProfile:
         for y in sb:
             classes.setdefault(x + y, []).append((x, y))
     fixed = {s: tuple(sorted(classes[s])) for s in sorted(classes)}
-    sizes = [len(v) for v in fixed.values()]
-    histogram: dict[int, int] = {}
-    for s in sizes:
-        histogram[s] = histogram.get(s, 0) + 1
-    cap = min(len(sa), len(sb))
-    top = max(sizes)
+    h = dict(sorted(Counter(map(len, fixed.values())).items()))
     return ClassProfile(
-        classes=fixed,
-        pair_count=len(sa) * len(sb),
-        class_count=len(fixed),
-        saturated_size=cap,
-        saturated_count=histogram.get(cap, 0),
-        max_size=top,
-        max_count=histogram[top],
-        size_histogram=dict(sorted(histogram.items())),
+        fixed, len(sa) * len(sb), size_histogram=h, **_counts(h, min(len(sa), len(sb)))
     )
 
 
@@ -126,9 +126,9 @@ class Prediction:
 @dataclass(frozen=True)
 class AuditRecord:
     prediction: Prediction
-    observed: Optional[Mapping[str, object]]
+    observed: Optional[Mapping[str, object]]  # the histogram and its five counts
     verdict: str  # "match" | "mismatch" | "skipped"
-    detail: tuple[str, ...]
+    detail: tuple[str, ...]  # the skip reason, or one line per differing field
 
 
 def predict_iso(m: int, n: int) -> Prediction:
@@ -137,6 +137,7 @@ def predict_iso(m: int, n: int) -> Prediction:
     Arguments normalize to m >= n.  The claim: saturated classes number
     m - n + 1, every size below the cap occurs in exactly two classes.
     """
+    _require_ints(m=m, n=n)
     if m < n:
         m, n = n, m
     if n < 3:
@@ -163,6 +164,7 @@ def predict_bi_saturated(m: int, n: int, k: int) -> Prediction:
     exactly 2k classes.  r = 0 is allowed and predicts no saturated
     class.
     """
+    _require_ints(m=m, n=n, k=k)
     if n < 3 or m < 3:
         raise ValueError("label sizes must be at least 3")
     if k < 2:
@@ -192,6 +194,7 @@ def predict_bi_maximal(m: int, n: int, k: int) -> Prediction:
     q = 0 claims (n - p + 1)k maximal classes of p members; q > 0
     claims (n - p - 1)k + q maximal classes of p + 1 members.
     """
+    _require_ints(m=m, n=n, k=k)
     if n < 3 or m < 3:
         raise ValueError("label sizes must be at least 3")
     if k < 2:
@@ -216,6 +219,7 @@ def predict_bi_maximal(m: int, n: int, k: int) -> Prediction:
 
 def predict_edge_sin(m: int, n: int, k: int) -> int:
     """Edge label cardinality m + k(n - 1) for ratio k with 1 <= k <= m."""
+    _require_ints(m=m, n=n, k=k)
     if m < 1 or n < 1:
         raise ValueError("sizes must be positive")
     if not 1 <= k <= m:
@@ -294,26 +298,6 @@ def _predict(theorem: str, point: GridPoint) -> Prediction:
     return predict(*point)
 
 
-def _observe(
-    histogram: Mapping[int, int], cap: int, expected: Mapping[str, object]
-) -> dict[str, object]:
-    top = max(histogram)
-    fields = {
-        "histogram": histogram,
-        "saturated_size": cap,
-        "saturated_count": histogram.get(cap, 0),
-        "max_size": top,
-        "max_count": histogram[top],
-        "class_count": sum(histogram.values()),
-    }
-    view: dict[str, object] = {}
-    for key in expected:
-        if key not in fields:
-            raise ValueError(f"no observation for field {key!r}")
-        view[key] = fields[key]
-    return view
-
-
 def audit_point(theorem: str, point: GridPoint, diff: int = 1) -> AuditRecord:
     """Predict, count the classes of the canonical pair, compare."""
     point = tuple(point) if isinstance(point, Iterable) else point
@@ -325,25 +309,15 @@ def audit_point(theorem: str, point: GridPoint, diff: int = 1) -> AuditRecord:
     m = pred.params["m"]
     n = pred.params["n"]
     k = pred.params.get("k", 1)
-    # the check canonical_pair makes first, without its set; its second
-    # cannot fail, as _predict admits only int sizes and ratios of at least 1
-    APSet(0, diff, m)
+    APSet(0, diff, m)  # validates diff as canonical_pair would, building no set
     histogram = _class_histogram(m, n, k)
-    observed = _observe(histogram, min(m, n), pred.expected)
-    observed["histogram_full"] = histogram
-    detail: list[str] = []
-    verdict = "match"
-    for key, want in pred.expected.items():
-        got = observed[key]
-        if got == want:
-            # both sides are ints or ascending int histograms, so equal
-            # values print alike
-            text = repr(want)
-            detail.append(f"{key}: predicted {text}, observed {text}")
-        else:
-            verdict = "mismatch"
-            detail.append(f"{key}: predicted {want!r}, observed {got!r} <-- differs")
-    return AuditRecord(pred, observed, verdict, tuple(detail))
+    observed = {"histogram": histogram, **_counts(histogram, min(m, n))}
+    detail = tuple(
+        f"{key}: predicted {want!r}, observed {observed[key]!r} <-- differs"
+        for key, want in pred.expected.items()
+        if observed[key] != want
+    )
+    return AuditRecord(pred, observed, "mismatch" if detail else "match", detail)
 
 
 def _point_params(point: GridPoint) -> dict[str, int]:

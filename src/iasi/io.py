@@ -157,11 +157,6 @@ def _prints_alike(a: object, b: object) -> bool:
     return type(a) is int and type(b) is int and a == b
 
 
-def _compact_like(value: object, other: object, other_text: str) -> str:
-    """``_fmt(value, compact=True)``, reusing ``other_text`` when value prints like other."""
-    return other_text if _prints_alike(value, other) else _fmt(value, compact=True)
-
-
 # --- verification reports --------------------------------------------------
 
 
@@ -252,20 +247,20 @@ def serialize_audit(records: Iterable[AuditRecord], fmt: str = "text") -> str:
             parts = [f"theorem={rec.prediction.theorem}", _params_str(rec.prediction.params),
                      f"verdict={rec.verdict}"]
             observed = rec.observed
-            shown: dict[str, str] = {}  # observed key -> its text
+            histogram = None  # the text of observed.histogram, once printed
             for key, want in rec.prediction.expected.items():
                 text = _fmt(want, compact=True)
                 parts.append(f"predicted.{key}={text}")
                 if observed is not None:
-                    shown[key] = _compact_like(observed[key], want, text)
-                    parts.append(f"observed.{key}={shown[key]}")
-            if observed is not None and "histogram_full" in observed:
-                full = observed["histogram_full"]
-                if "histogram" in shown:
-                    text = _compact_like(full, observed["histogram"], shown["histogram"])
-                else:
-                    text = _fmt(full, compact=True)
-                parts.append(f"observed.histogram={text}")
+                    if not _prints_alike(observed[key], want):
+                        text = _fmt(observed[key], compact=True)
+                    parts.append(f"observed.{key}={text}")
+                    if key == "histogram":
+                        histogram = text
+            if observed is not None:
+                if histogram is None:
+                    histogram = _fmt(observed["histogram"], compact=True)
+                parts.append(f"observed.histogram={histogram}")
             if rec.verdict == "skipped":
                 parts.append(f'reason="{rec.detail[0]}"')
             lines.append(" ".join(x for x in parts if x))
@@ -288,11 +283,10 @@ def serialize_audit(records: Iterable[AuditRecord], fmt: str = "text") -> str:
             observed = ", ".join(
                 f"{key}={_fmt(rec.observed[key])}" for key in rec.prediction.expected
             )
-            hist = ""
-            if rec.observed is not None and "histogram_full" in rec.observed:
-                hist = f"; observed histogram={format_histogram(rec.observed['histogram_full'])}"
+            hist = format_histogram(rec.observed["histogram"])
             lines.append(
-                f"{head}: MISMATCH predicted ({fields}); observed ({observed}){hist}"
+                f"{head}: MISMATCH predicted ({fields}); observed ({observed}); "
+                f"observed histogram={hist}"
             )
     lines.append(_summary_line(records))
     return "\n".join(lines) + "\n"

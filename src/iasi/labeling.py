@@ -8,8 +8,8 @@ indices and ratios are read off the labels by ``verify``.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
-from typing import Iterator, Mapping
 
 from .sets import IntSet, Ints, as_intset, sumset
 
@@ -29,11 +29,19 @@ class Labeling:
     assignment: Mapping[int, IntSet]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.assignment, Mapping):
+            raise ValueError(
+                "a labeling needs a mapping of vertex ids to labels, got "
+                + type(self.assignment).__name__
+            )
         fixed: dict[int, IntSet] = {}
         for v, s in self.assignment.items():
             if type(v) is not int or v < 0:
                 raise ValueError(f"vertex ids must be non-negative integers, got {v!r}")
-            fixed[v] = as_intset(s)
+            try:
+                fixed[v] = as_intset(s)
+            except (TypeError, ValueError) as exc:  # TypeError: s is not iterable
+                raise ValueError(f"label of vertex {v}: {exc}") from None
         object.__setattr__(self, "assignment", dict(sorted(fixed.items())))
 
     def label(self, v: int) -> IntSet:

@@ -135,6 +135,26 @@ def test_predict_bi_maximal_slices():
         predict_bi_maximal(9, 3, 2)  # p = 4 over n - 1
 
 
+@pytest.mark.parametrize(
+    "predict, args, reason",
+    [
+        (predict_iso, (3.5, 3), "m must be an integer, got 3.5"),
+        (predict_iso, (5, 3.0), "n must be an integer, got 3.0"),
+        (predict_bi_saturated, (7, 3, 2.0), "k must be an integer, got 2.0"),
+        (predict_bi_saturated, (True, 3, 2), "m must be an integer, got True"),
+        (predict_bi_maximal, (5, 4, True), "k must be an integer, got True"),
+        (predict_bi_maximal, ("5", 4, 2), "m must be an integer, got '5'"),
+        (predict_edge_sin, (True, 3, 1), "m must be an integer, got True"),
+        (predict_edge_sin, (5, 3, 1.0), "k must be an integer, got 1.0"),
+    ],
+)
+def test_predictors_require_exact_ints(predict, args, reason):
+    # a float or bool member used to give a fractional or vacuous claim
+    with pytest.raises(ValueError) as exc:
+        predict(*args)
+    assert str(exc.value) == reason
+
+
 def test_predict_edge_sin_values():
     assert predict_edge_sin(5, 3, 1) == 7
     assert predict_edge_sin(5, 3, 2) == 9
@@ -166,20 +186,26 @@ def test_audit_point_match():
     rec = audit_point("T-NCC", (5, 3))
     assert rec.verdict == "match"
     assert rec.observed["histogram"] == {1: 2, 2: 2, 3: 3}
-    assert all("differs" not in line for line in rec.detail)
+    assert rec.detail == ()
 
 
 def test_audit_point_mismatch_reports_observed_histogram():
     rec = audit_point("T-NMCC-II", (5, 4, 2))
     assert rec.verdict == "mismatch"
     assert rec.prediction.expected == {"max_size": 3, "max_count": 3}
-    assert rec.observed["max_count"] == 2
-    assert rec.observed["histogram_full"] == {1: 4, 2: 5, 3: 2}
-    assert any("differs" in line for line in rec.detail)
+    assert rec.observed == {
+        "histogram": {1: 4, 2: 5, 3: 2},
+        "class_count": 11,
+        "saturated_size": 4,
+        "saturated_count": 0,
+        "max_size": 3,
+        "max_count": 2,
+    }
+    assert rec.detail == ("max_count: predicted 3, observed 2 <-- differs",)
 
     rec = audit_point("T-NMCC-II", (3, 3, 2))
     assert rec.verdict == "mismatch"
-    assert rec.observed["histogram_full"] == {1: 5, 2: 2}
+    assert rec.observed["histogram"] == {1: 5, 2: 2}
 
 
 def test_audit_point_skips_out_of_regime():

@@ -14,12 +14,13 @@ without edges.
 The audit counts class sizes by one polynomial product of two
 indicators built in closed form as geometric series; its oracle is
 the audit as it was when it listed every pair with
-``compat_partition``, and records and their serialized text must
-match on every theorem id and alias, skipped points, huge and invalid
-differences included.  A sweep gives one record per point and never
-raises, whatever the length and members of its points.  The
-geometric-series indicators must be bit for bit the integers the old
-generic product packed one element at a time.
+``compat_partition`` and counted every field from the pair lists, and
+records and their serialized text must match on every theorem id and
+alias, skipped points, huge and invalid differences included.  A
+sweep gives one record per point and never raises, whatever the
+length and members of its points.  The geometric-series indicators
+must be bit for bit the integers the old generic product packed one
+element at a time.
 The audit serializer formats an observed value once where it prints
 like the predicted one; its oracle formats every value where it is
 printed, and text must match byte for byte, also for equal values
@@ -423,24 +424,18 @@ def naive_table_classify(g, lab):
 # --- audit oracle: the pair-listing audit -----------------------------------------
 
 
-def naive_observe(profile: ClassProfile, expected: Mapping[str, object]) -> dict[str, object]:
-    view: dict[str, object] = {}
-    for key in expected:
-        if key == "histogram":
-            view[key] = dict(profile.size_histogram)
-        elif key == "saturated_size":
-            view[key] = profile.saturated_size
-        elif key == "saturated_count":
-            view[key] = profile.saturated_count
-        elif key == "max_size":
-            view[key] = profile.max_size
-        elif key == "max_count":
-            view[key] = profile.max_count
-        elif key == "class_count":
-            view[key] = profile.class_count
-        else:
-            raise ValueError(f"no observation for field {key!r}")
-    return view
+def naive_observe(profile: ClassProfile, cap: int) -> dict[str, object]:
+    """Every observed field, counted from the pair lists alone."""
+    sizes = [len(pairs) for pairs in profile.classes.values()]
+    top = max(sizes)
+    return {
+        "histogram": {size: sizes.count(size) for size in sorted(set(sizes))},
+        "class_count": len(sizes),
+        "saturated_size": cap,
+        "saturated_count": sizes.count(cap),
+        "max_size": top,
+        "max_count": sizes.count(top),
+    }
 
 
 def naive_audit_point(theorem, point, diff=1):
@@ -457,19 +452,13 @@ def naive_audit_point(theorem, point, diff=1):
     n = pred.params["n"]
     k = pred.params.get("k", 1)
     a, b = canonical_pair(m, n, k, diff)
-    profile = compat_partition(a, b)
-    observed = naive_observe(profile, pred.expected)
-    observed["histogram_full"] = dict(profile.size_histogram)
+    observed = naive_observe(compat_partition(a, b), min(len(a), len(b)))
     detail: list[str] = []
-    verdict = "match"
     for key, want in pred.expected.items():
         got = observed[key]
-        if got == want:
-            detail.append(f"{key}: predicted {want!r}, observed {got!r}")
-        else:
-            verdict = "mismatch"
+        if got != want:
             detail.append(f"{key}: predicted {want!r}, observed {got!r} <-- differs")
-    return AuditRecord(pred, observed, verdict, tuple(detail))
+    return AuditRecord(pred, observed, "mismatch" if detail else "match", tuple(detail))
 
 
 # --- serializer oracle: every value formatted where it is printed -----------------------
@@ -503,9 +492,9 @@ def naive_serialize_audit(records, fmt="text"):
                 parts.append(f"predicted.{key}={naive_fmt(want, compact=True)}")
                 if rec.observed is not None:
                     parts.append(f"observed.{key}={naive_fmt(rec.observed[key], compact=True)}")
-            if rec.observed is not None and "histogram_full" in rec.observed:
+            if rec.observed is not None:
                 parts.append(
-                    f"observed.histogram={naive_fmt(rec.observed['histogram_full'], compact=True)}"
+                    f"observed.histogram={naive_fmt(rec.observed['histogram'], compact=True)}"
                 )
             if rec.verdict == "skipped":
                 parts.append(f'reason="{rec.detail[0]}"')
@@ -527,11 +516,10 @@ def naive_serialize_audit(records, fmt="text"):
             observed = ", ".join(
                 f"{key}={naive_fmt(rec.observed[key])}" for key in rec.prediction.expected
             )
-            hist = ""
-            if rec.observed is not None and "histogram_full" in rec.observed:
-                hist = f"; observed histogram={naive_histogram(rec.observed['histogram_full'])}"
+            hist = naive_histogram(rec.observed["histogram"])
             lines.append(
-                f"{head}: MISMATCH predicted ({fields}); observed ({observed}){hist}"
+                f"{head}: MISMATCH predicted ({fields}); observed ({observed}); "
+                f"observed histogram={hist}"
             )
     lines.append(naive_summary_line(records))
     return "\n".join(lines) + "\n"
@@ -861,6 +849,18 @@ def test_class_histogram_matches_pair_listing(m, n, j, d):
     assert list(got.items()) == list(want.items())
 
 
+@settings(max_examples=200, deadline=None)
+@given(labels, labels)
+def test_partition_counts_match_its_classes(a, b):
+    # ClassProfile and the audit read their counts through one helper, so
+    # the audit oracle's naive_observe counts from the pair lists instead
+    profile = compat_partition(a, b)
+    want = naive_observe(profile, min(len(a), len(b)))
+    assert list(profile.size_histogram.items()) == list(want.pop("histogram").items())
+    for key, count in want.items():
+        assert getattr(profile, key) == count, key
+
+
 def test_class_histogram_two_bytes_per_coefficient():
     # min(m, n) >= 256: a coefficient takes two bytes and the cap needs both
     assert max(_class_histogram(300, 257, 1)) == 257
@@ -968,7 +968,11 @@ def test_audit_gives_one_record_per_point_of_any_length(theorem, grid):
 # that differ in one such key or value or in their mapping type
 small_ints = st.one_of(st.integers(0, 3), st.booleans())
 histograms = st.dictionaries(small_ints, small_ints, max_size=4)
-audit_values = st.one_of(small_ints, st.none(), histograms, histograms.map(MappingProxyType))
+histogram_values = st.one_of(histograms, histograms.map(MappingProxyType))
+audit_values = st.one_of(small_ints, st.none(), histogram_values)
+OBSERVED_KEYS = (
+    "histogram", "class_count", "saturated_size", "saturated_count", "max_size", "max_count"
+)
 
 
 @st.composite
@@ -984,22 +988,20 @@ def equal_twin(draw, value):
 
 @st.composite
 def hand_records(draw):
-    keys = draw(st.lists(st.sampled_from(
-        ["histogram", "saturated_size", "saturated_count", "max_count", "class_count"]
-    ), unique=True, max_size=4))
+    keys = draw(st.lists(st.sampled_from(OBSERVED_KEYS), unique=True, max_size=4))
     expected = {key: draw(audit_values) for key in keys}
     verdict = draw(st.sampled_from(["match", "mismatch", "skipped"]))
     pred = Prediction(draw(st.sampled_from(AUDIT_IDS)).upper(), {"m": 4, "n": 3}, expected)
     if verdict == "skipped":
         return AuditRecord(pred, None, verdict, ("out of regime",))
-    observed = {
-        key: draw(st.one_of(equal_twin(want), audit_values)) for key, want in expected.items()
-    }
-    if draw(st.booleans()):
-        shown = observed.get("histogram")
-        if not isinstance(shown, Mapping):
-            shown = draw(histograms)
-        observed["histogram_full"] = draw(st.one_of(st.just(shown), equal_twin(shown), histograms))
+    observed = {}
+    for key in OBSERVED_KEYS:
+        # every field is observed, and the observed histogram is a mapping
+        values = histogram_values if key == "histogram" else audit_values
+        want = expected.get(key)
+        if key in expected and (key != "histogram" or isinstance(want, Mapping)):
+            values = st.one_of(equal_twin(want), values)
+        observed[key] = draw(values)
     return AuditRecord(pred, observed, verdict, ("detail",))
 
 
@@ -1014,11 +1016,11 @@ def audit_records(draw):
 @example([audit_point("T-NCC", (40, 12)), audit_point("T-NMCC-II-qpos", (7, 5, 2))])
 @example([AuditRecord(
     Prediction("T-NCC", {"m": 4, "n": 3}, {"saturated_count": True, "histogram": {1: 2}}),
-    {"saturated_count": 1, "histogram": MappingProxyType({True: 2}),
-     "histogram_full": MappingProxyType({1: 2})},
-    "match",
-    ("detail",),
-)])
+    {"histogram": MappingProxyType({True: 2}), "class_count": 2, "saturated_size": 3,
+     "saturated_count": 1, "max_size": True, "max_count": 2},
+    verdict,
+    (),
+) for verdict in ("match", "mismatch")])
 def test_serialize_audit_matches_per_value_formatting(records):
     for fmt in ("text", "structured"):
         assert serialize_audit(records, fmt=fmt) == naive_serialize_audit(records, fmt=fmt)

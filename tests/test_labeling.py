@@ -70,3 +70,22 @@ def test_labeling_validates_and_sorts():
         Labeling({True: (0, 1)})
     with pytest.raises(ValueError):
         Labeling({0: (True, 2)})
+
+
+@pytest.mark.parametrize(
+    "assignment, reason",
+    [
+        ({0: 5}, "label of vertex 0: 'int' object is not iterable"),
+        ({3: None}, "label of vertex 3: 'NoneType' object is not iterable"),
+        ({1: (0, True)}, "label of vertex 1: elements must be integers, got True"),
+        ({2: ()}, "label of vertex 2: set must be non-empty"),
+        ([(0, (1, 2))], "a labeling needs a mapping of vertex ids to labels, got list"),
+        ((1, 2), "a labeling needs a mapping of vertex ids to labels, got tuple"),
+    ],
+)
+def test_malformed_labeling_raises_value_error_naming_the_vertex(assignment, reason):
+    # a label that is not iterable, or no mapping at all, used to escape
+    # as TypeError or AttributeError
+    with pytest.raises(ValueError) as exc:
+        Labeling(assignment)
+    assert str(exc.value) == reason
