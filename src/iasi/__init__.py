@@ -13,7 +13,6 @@ from .compat import (
     Prediction,
     audit,
     audit_point,
-    canonical_pair,
     compat_partition,
     predict_bi_maximal,
     predict_bi_saturated,
@@ -67,7 +66,6 @@ from .io import (
 from .labeling import (
     Labeling,
     MissingLabelError,
-    NotArithmeticError,
     edge_label,
 )
 from .sets import (
@@ -83,13 +81,6 @@ from .verify import (
     VerificationReport,
     Violation,
     classify,
-    verify_arithmetic,
-    verify_biarithmetic,
-    verify_iasi,
-    verify_identical_biarithmetic,
-    verify_isoarithmetic,
-    verify_strong,
-    verify_uniform,
 )
 
 __version__ = "0.1.0"

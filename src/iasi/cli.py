@@ -26,6 +26,7 @@ from typing import Optional, Sequence
 # which shadows the construct submodule as a package attribute
 from .compat import AUDITS, audit, compat_partition
 from .construct import (
+    KINDS,
     ConstructSpec,
     ConstructionError,
     SearchBound,
@@ -224,11 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("label", help="construct a labeling of a given class")
     p.add_argument("--graph", required=True)
-    p.add_argument("--kind", required=True, choices=[
-        "isoarithmetic", "uniform_isoarithmetic", "bipartite_uniform_isoarithmetic",
-        "biarithmetic", "identical_biarithmetic", "strong_biarithmetic",
-        "componentwise_uniform",
-    ])
+    p.add_argument("--kind", required=True, choices=KINDS)
     p.add_argument("--d", type=int, default=1, help="base common difference")
     p.add_argument("--k", type=int, help="edge ratio for biarithmetic kinds")
     p.add_argument("--sizes", help="label sizes: one value, 'x,y' sides, or per-vertex CSV")

@@ -28,7 +28,7 @@ from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from typing import Optional
 
-from .sets import APSet, IntSet, Ints, _require_ints, ap_set, as_intset
+from .sets import APSet, IntSet, Ints, _require_ints, as_intset
 
 
 @dataclass(frozen=True)
@@ -238,11 +238,6 @@ def _edge_sin_prediction(m: int, n: int, k: int) -> Prediction:
     )
 
 
-def canonical_pair(m: int, n: int, k: int = 1, diff: int = 1) -> tuple[IntSet, IntSet]:
-    """The witness labels every audit uses: differences diff and k*diff."""
-    return ap_set(0, diff, m), ap_set(0, k * diff, n)
-
-
 GridPoint = tuple[int, ...]
 
 
@@ -309,7 +304,7 @@ def audit_point(theorem: str, point: GridPoint, diff: int = 1) -> AuditRecord:
     m = pred.params["m"]
     n = pred.params["n"]
     k = pred.params.get("k", 1)
-    APSet(0, diff, m)  # validates diff as canonical_pair would, building no set
+    APSet(0, diff, m)  # validates diff, the witness labels' difference, building no set
     histogram = _class_histogram(m, n, k)
     observed = {"histogram": histogram, **_counts(histogram, min(m, n))}
     detail = tuple(

@@ -30,7 +30,7 @@ All constructors are pure functions of (graph, parameters, seed).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from math import isqrt
 from typing import Optional
@@ -335,47 +335,68 @@ class ConstructSpec:
     seed: int = 0
 
 
+def _isoarithmetic(g: Graph, spec: ConstructSpec) -> Labeling:
+    sizes = spec.sizes if spec.sizes is not None else 3
+    return construct_isoarithmetic(g, diff=spec.diff, sizes=sizes, seed=spec.seed)
+
+
+def _uniform_isoarithmetic(g: Graph, spec: ConstructSpec) -> Labeling:
+    if not isinstance(spec.sizes, int):
+        raise ValueError("uniform_isoarithmetic takes one integer size")
+    return construct_isoarithmetic(g, diff=spec.diff, sizes=spec.sizes, seed=spec.seed)
+
+
+def _bipartite_uniform_isoarithmetic(g: Graph, spec: ConstructSpec) -> Labeling:
+    if not (isinstance(spec.sizes, (tuple, list)) and len(spec.sizes) == 2):
+        raise ValueError("bipartite_uniform_isoarithmetic takes sizes (m, n)")
+    m, n = spec.sizes
+    return construct_bipartite_uniform_isoarithmetic(g, m, n, diff=spec.diff, seed=spec.seed)
+
+
+def _biarithmetic(g: Graph, spec: ConstructSpec) -> Labeling:
+    return construct_biarithmetic(
+        g, ratio=spec.ratio if spec.ratio is not None else 2,
+        diff=spec.diff, sizes=spec.sizes, seed=spec.seed,
+    )
+
+
+def _identical_biarithmetic(g: Graph, spec: ConstructSpec) -> Labeling:
+    if spec.ratio is None:
+        raise ValueError("identical_biarithmetic needs a ratio")
+    sizes = spec.sizes if spec.sizes is not None else 3
+    return construct_identical_biarithmetic(
+        g, spec.ratio, diff=spec.diff, sizes=sizes, seed=spec.seed
+    )
+
+
+def _strong_biarithmetic(g: Graph, spec: ConstructSpec) -> Labeling:
+    sizes = spec.sizes if spec.sizes is not None else 3
+    return construct_strong_biarithmetic(g, diff=spec.diff, sizes=sizes, seed=spec.seed)
+
+
+def _componentwise_uniform(g: Graph, spec: ConstructSpec) -> Labeling:
+    if spec.edge_size is None:
+        raise ValueError("componentwise_uniform needs an edge size")
+    return construct_componentwise_uniform(g, spec.edge_size, diff=spec.diff, seed=spec.seed)
+
+
+# every construction kind, in the order ``iasi label --kind`` lists
+# them, and the builder that reads its ConstructSpec
+KINDS: dict[str, Callable[[Graph, ConstructSpec], Labeling]] = {
+    "isoarithmetic": _isoarithmetic,
+    "uniform_isoarithmetic": _uniform_isoarithmetic,
+    "bipartite_uniform_isoarithmetic": _bipartite_uniform_isoarithmetic,
+    "biarithmetic": _biarithmetic,
+    "identical_biarithmetic": _identical_biarithmetic,
+    "strong_biarithmetic": _strong_biarithmetic,
+    "componentwise_uniform": _componentwise_uniform,
+}
+
+
 def construct(g: Graph, spec: ConstructSpec) -> Labeling:
-    kind = spec.kind
-    if kind == "isoarithmetic":
-        return construct_isoarithmetic(
-            g, diff=spec.diff, sizes=spec.sizes if spec.sizes is not None else 3, seed=spec.seed
-        )
-    if kind == "uniform_isoarithmetic":
-        if not isinstance(spec.sizes, int):
-            raise ValueError("uniform_isoarithmetic takes one integer size")
-        return construct_isoarithmetic(g, diff=spec.diff, sizes=spec.sizes, seed=spec.seed)
-    if kind == "bipartite_uniform_isoarithmetic":
-        if not (isinstance(spec.sizes, (tuple, list)) and len(spec.sizes) == 2):
-            raise ValueError("bipartite_uniform_isoarithmetic takes sizes (m, n)")
-        m, n = spec.sizes
-        return construct_bipartite_uniform_isoarithmetic(
-            g, m, n, diff=spec.diff, seed=spec.seed
-        )
-    if kind == "biarithmetic":
-        return construct_biarithmetic(
-            g, ratio=spec.ratio if spec.ratio is not None else 2,
-            diff=spec.diff, sizes=spec.sizes, seed=spec.seed,
-        )
-    if kind == "identical_biarithmetic":
-        if spec.ratio is None:
-            raise ValueError("identical_biarithmetic needs a ratio")
-        return construct_identical_biarithmetic(
-            g, spec.ratio, diff=spec.diff,
-            sizes=spec.sizes if spec.sizes is not None else 3, seed=spec.seed,
-        )
-    if kind == "strong_biarithmetic":
-        return construct_strong_biarithmetic(
-            g, diff=spec.diff,
-            sizes=spec.sizes if spec.sizes is not None else 3, seed=spec.seed,
-        )
-    if kind == "componentwise_uniform":
-        if spec.edge_size is None:
-            raise ValueError("componentwise_uniform needs an edge size")
-        return construct_componentwise_uniform(
-            g, spec.edge_size, diff=spec.diff, seed=spec.seed
-        )
-    raise ValueError(f"unknown construction kind {spec.kind!r}")
+    if not isinstance(spec.kind, str) or spec.kind not in KINDS:
+        raise ValueError(f"unknown construction kind {spec.kind!r}")
+    return KINDS[spec.kind](g, spec)
 
 
 # --- exhaustive search ----------------------------------------------------

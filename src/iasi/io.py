@@ -247,7 +247,6 @@ def serialize_audit(records: Iterable[AuditRecord], fmt: str = "text") -> str:
             parts = [f"theorem={rec.prediction.theorem}", _params_str(rec.prediction.params),
                      f"verdict={rec.verdict}"]
             observed = rec.observed
-            histogram = None  # the text of observed.histogram, once printed
             for key, want in rec.prediction.expected.items():
                 text = _fmt(want, compact=True)
                 parts.append(f"predicted.{key}={text}")
@@ -255,12 +254,8 @@ def serialize_audit(records: Iterable[AuditRecord], fmt: str = "text") -> str:
                     if not _prints_alike(observed[key], want):
                         text = _fmt(observed[key], compact=True)
                     parts.append(f"observed.{key}={text}")
-                    if key == "histogram":
-                        histogram = text
-            if observed is not None:
-                if histogram is None:
-                    histogram = _fmt(observed["histogram"], compact=True)
-                parts.append(f"observed.histogram={histogram}")
+            if observed is not None and "histogram" not in rec.prediction.expected:
+                parts.append(f"observed.histogram={_fmt(observed['histogram'], compact=True)}")
             if rec.verdict == "skipped":
                 parts.append(f'reason="{rec.detail[0]}"')
             lines.append(" ".join(x for x in parts if x))

@@ -3,7 +3,9 @@
 A labeling maps vertex ids to IntSets.  Edge labels are never stored:
 ``edge_label`` computes the sumset f(u) + f(v) on demand, so a labeling
 can never drift out of sync with itself.  The paper's deterministic
-indices and ratios are read off the labels by ``verify``.
+indices and ratios are read off the labels by ``verify.classify``; a
+label that is not a progression of at least 3 elements is reported
+there as ``vertex_arithmetic=False``, never raised.
 """
 
 from __future__ import annotations
@@ -16,10 +18,6 @@ from .sets import IntSet, Ints, as_intset, sumset
 
 class MissingLabelError(Exception):
     """A vertex the operation needs carries no label."""
-
-
-class NotArithmeticError(Exception):
-    """A label is not an arithmetic progression of at least 3 elements."""
 
 
 @dataclass(frozen=True)

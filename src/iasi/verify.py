@@ -11,10 +11,10 @@ least 3 elements, with k an integer and k <= m, has the progression
 no sumset is built.  Every other edge builds its sumset
 and keys it by its (first, diff, size) triple when it is a progression,
 else by its elements; equal edge labels thus always get equal keys, and
-a collision builds a sumset only to print it.  ``classify`` and every
-``verify_*`` function project their verdicts from that table; nothing is
+a collision builds a sumset only to print it.  ``classify``, the one
+verifier, projects every flag of its report from that table; nothing is
 trusted from construction time, and every constructor and the search
-certify their output through ``classify``.  The report's flags
+certify their output through it.  The report's flags
 respect the containment chain: identical biarithmetic implies biarithmetic
 implies arithmetic, and isoarithmetic implies arithmetic, with
 isoarithmetic and biarithmetic mutually exclusive (a shared-difference
@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .graphs import Graph
-from .labeling import Labeling, NotArithmeticError
+from .labeling import Labeling
 from .sets import IntSet, detect_ap, sumset
 
 
@@ -132,16 +132,8 @@ def _collisions(t: _Table) -> list[Violation]:
 def _ratio_violations(t: _Table) -> list[Violation]:
     """Edges whose ratio is fractional or above the smaller-index size.
 
-    Raises NotArithmeticError at the first vertex label that is not a
-    progression of at least 3 elements.
+    Every vertex label must be a progression of at least 3 elements.
     """
-    for v, (s, d) in enumerate(zip(t.labels, t.diffs)):
-        if len(s) < 3:
-            raise NotArithmeticError(
-                f"label of vertex {v} has {len(s)} elements; arithmetic labels need 3"
-            )
-        if d is None:
-            raise NotArithmeticError(f"label of vertex {v} is not an arithmetic progression")
     violations: list[Violation] = []
     for e in t.edges:
         if e.ratio is None:
@@ -183,56 +175,6 @@ def _uniform(t: _Table) -> tuple[Optional[int], Optional[int]]:
     edge_k = edge_sizes.pop() if len(edge_sizes) == 1 else None
     vertex_l = vertex_sizes.pop() if len(vertex_sizes) == 1 else None
     return (edge_k, vertex_l)
-
-
-def verify_iasi(g: Graph, lab: Labeling) -> tuple[bool, list[Violation]]:
-    """Injectivity of the vertex labels and of the induced edge labels."""
-    violations = _collisions(_table(g, lab))
-    return (not violations, violations)
-
-
-def verify_arithmetic(g: Graph, lab: Labeling) -> tuple[bool, list[Violation]]:
-    """Every edge ratio is an integer k with 1 <= k <= size of the
-    smaller-index endpoint.
-
-    Requires every vertex label to be a progression with at least 3
-    elements; anything else raises NotArithmeticError.  A tie in the
-    endpoint indices gives ratio 1, which always passes.
-    """
-    violations = _ratio_violations(_table(g, lab))
-    return (not violations, violations)
-
-
-def verify_isoarithmetic(g: Graph, lab: Labeling) -> bool:
-    """Arithmetic with every edge ratio equal to 1."""
-    t = _table(g, lab)
-    return not _ratio_violations(t) and all(e.ratio == 1 for e in t.edges)
-
-
-def verify_biarithmetic(g: Graph, lab: Labeling) -> bool:
-    """Arithmetic with every edge ratio a proper integer, never 1."""
-    t = _table(g, lab)
-    return not _ratio_violations(t) and all(e.ratio > 1 for e in t.edges)
-
-
-def verify_identical_biarithmetic(g: Graph, lab: Labeling) -> Optional[int]:
-    """The shared edge ratio k when one exists on every edge, else None."""
-    t = _table(g, lab)
-    return None if _ratio_violations(t) else _single_ratio(t)
-
-
-def verify_strong(g: Graph, lab: Labeling) -> bool:
-    """Every edge label is as large as it could be: |f(u)| * |f(v)|."""
-    return _strong(_table(g, lab))
-
-
-def verify_uniform(g: Graph, lab: Labeling) -> tuple[Optional[int], Optional[int]]:
-    """(edge_k, vertex_l): shared cardinalities where they exist.
-
-    Either slot is None when the cardinalities disagree or there is
-    nothing to measure on that side.
-    """
-    return _uniform(_table(g, lab))
 
 
 def classify(g: Graph, lab: Labeling) -> VerificationReport:

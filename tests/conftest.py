@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from iasi import Graph, Labeling, ap_set, graph
+from iasi import Graph, IntSet, Labeling, ap_set, graph
 
 
 def random_graph(rng: random.Random, max_n: int = 10, p: float = 0.4) -> Graph:
@@ -17,6 +17,11 @@ def random_graph(rng: random.Random, max_n: int = 10, p: float = 0.4) -> Graph:
         if rng.random() < p
     ]
     return graph(n, edges)
+
+
+def witness_pair(m: int, n: int, k: int = 1, diff: int = 1) -> tuple[IntSet, IntSet]:
+    """The audit's witness labels as sets: AP(0, diff, m) and AP(0, k*diff, n)."""
+    return ap_set(0, diff, m), ap_set(0, k * diff, n)
 
 
 def sidon_firsts(count: int, offset: int = 0) -> list[int]:

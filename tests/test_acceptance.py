@@ -13,8 +13,8 @@ from itertools import combinations
 from iasi import (
     ap_set,
     audit,
-    canonical_pair,
     check_freiman_converse,
+    classify,
     complete_bipartite,
     construct_bipartite_uniform_isoarithmetic,
     construct_biarithmetic,
@@ -33,15 +33,9 @@ from iasi import (
     serialize_audit,
     serialize_labeling,
     sumset,
-    verify_biarithmetic,
-    verify_iasi,
-    verify_identical_biarithmetic,
-    verify_isoarithmetic,
-    verify_strong,
-    verify_uniform,
     bipartition,
 )
-from conftest import random_arith_labeling, random_graph
+from conftest import random_arith_labeling, random_graph, witness_pair
 
 
 def report(n: int, text: str) -> None:
@@ -87,7 +81,7 @@ def test_criterion_03_isoarithmetic_iff_every_edge_minimal():
             len(edge_label(lab, u, v)) == len(lab.label(u)) + len(lab.label(v)) - 1
             for u, v in g.edges
         )
-        is_iso = verify_isoarithmetic(g, lab)
+        is_iso = classify(g, lab).isoarithmetic
         assert is_iso == minimal_edges
         iso_seen += is_iso
         other_seen += not is_iso
@@ -98,17 +92,16 @@ def test_criterion_03_isoarithmetic_iff_every_edge_minimal():
 def test_criterion_04_uniform_edge_cardinalities():
     for l in range(3, 9):
         for g in (cycle(5), path(4)):
-            lab = construct_isoarithmetic(g, diff=2, sizes=l)
-            assert verify_uniform(g, lab) == (2 * l - 1, l)
+            rep = classify(g, construct_isoarithmetic(g, diff=2, sizes=l))
+            assert (rep.edge_uniform, rep.vertex_uniform) == (2 * l - 1, l)
     for m in range(3, 7):
         for n in range(3, 7):
             for g in (complete_bipartite(2, 3), cycle(6)):
                 lab = construct_bipartite_uniform_isoarithmetic(g, m, n, diff=1)
-                edge_k, _ = verify_uniform(g, lab)
-                assert edge_k == m + n - 1
+                assert classify(g, lab).edge_uniform == m + n - 1
     g = disjoint_union(cycle(5), complete_bipartite(2, 3))
     lab = construct_componentwise_uniform(g, edge_size=7)
-    assert verify_uniform(g, lab)[0] == 7
+    assert classify(g, lab).edge_uniform == 7
     report(4, "2l-1 for l=3..8, m+n-1 for m,n=3..6, mixed components at 7")
 
 
@@ -125,7 +118,8 @@ def test_criterion_05_no_strong_shared_difference():
         lab = construct_isoarithmetic(
             g, diff=rng.randint(1, 5), sizes=rng.randint(3, 7), seed=rng.randint(0, 99)
         )
-        assert verify_isoarithmetic(g, lab) and not verify_strong(g, lab)
+        rep = classify(g, lab)
+        assert rep.isoarithmetic and not rep.strong
         checked += 1
     assert checked > 30
     report(5, f"m+n-1 < mn for all m,n in 2..8; {checked} constructions never strong")
@@ -144,7 +138,7 @@ def test_criterion_07_edge_cardinality_formula():
     for m in range(3, 11):
         for n in range(3, 11):
             for k in range(1, m + 1):
-                a, b = canonical_pair(m, n, k)
+                a, b = witness_pair(m, n, k)
                 assert predict_edge_sin(m, n, k) == len(sumset(a, b))
                 points += 1
     report(7, f"m + k(n-1) equals enumeration at all {points} grid points")
@@ -154,7 +148,7 @@ def test_criterion_08_full_product_exactly_at_boundary_ratio():
     for m in range(3, 11):
         for n in range(3, 11):
             for k in range(1, m + 1):
-                a, b = canonical_pair(m, n, k)
+                a, b = witness_pair(m, n, k)
                 assert (len(sumset(a, b)) == m * n) == (k == m)
     report(8, "edge cardinality hits mn exactly when k = m, grid 3..10")
 
@@ -166,9 +160,8 @@ def test_criterion_09_search_witnesses_and_refusals():
     for g in witnessed:
         lab = search_identical_biarithmetic(g)
         assert lab is not None
-        assert verify_identical_biarithmetic(g, lab) is not None
-        ok, violations = verify_iasi(g, lab)
-        assert ok and violations == []
+        rep = classify(g, lab)
+        assert rep.identical_biarithmetic is not None and rep.violations == ()
     for n in (3, 5, 7):
         assert search_identical_biarithmetic(cycle(n)) is None
     elapsed = time.monotonic() - start
@@ -219,16 +212,16 @@ def test_criterion_12_constructions_reverify_and_serialize():
         g = random_graph(rng, max_n=8, p=0.45)
         seed = rng.randint(0, 999)
         lab = construct_isoarithmetic(g, diff=rng.randint(1, 5), sizes=rng.randint(3, 6), seed=seed)
-        assert verify_isoarithmetic(g, lab)
+        assert classify(g, lab).isoarithmetic
         lab = construct_biarithmetic(g, ratio=rng.choice([2, 3]), seed=seed)
-        assert verify_biarithmetic(g, lab) or not g.edges
+        assert classify(g, lab).biarithmetic or not g.edges
         if bipartition(g) is not None:
             lab = construct_identical_biarithmetic(g, ratio=2, sizes=3, seed=seed)
-            assert verify_identical_biarithmetic(g, lab) == 2 or not g.edges
+            assert classify(g, lab).identical_biarithmetic == 2 or not g.edges
             lab = construct_strong_biarithmetic(g, sizes=3, seed=seed)
-            assert verify_strong(g, lab)
+            assert classify(g, lab).strong
         lab = construct_componentwise_uniform(g, edge_size=7, seed=seed)
-        assert verify_uniform(g, lab)[0] == 7 or not g.edges
+        assert classify(g, lab).edge_uniform == 7 or not g.edges
         built += 1
     assert built == 100
     round_trips = 0

@@ -19,7 +19,6 @@ from iasi import (
     ap_set,
     audit,
     audit_point,
-    canonical_pair,
     compat_partition,
     predict_bi_maximal,
     predict_bi_saturated,
@@ -29,6 +28,8 @@ from iasi import (
 )
 
 import pytest
+
+from conftest import witness_pair
 
 
 def brute_histogram(a, b) -> dict[int, int]:
@@ -169,14 +170,8 @@ def test_predict_edge_sin_matches_enumeration():
     for m in range(3, 11):
         for n in range(3, 11):
             for k in range(1, m + 1):
-                a, b = canonical_pair(m, n, k)
+                a, b = witness_pair(m, n, k)
                 assert predict_edge_sin(m, n, k) == len(sumset(a, b))
-
-
-def test_canonical_pair_scales_with_diff():
-    a, b = canonical_pair(4, 3, 2, diff=5)
-    assert a.elems == (0, 5, 10, 15)
-    assert b.elems == (0, 10, 20)
 
 
 # --- audits ------------------------------------------------------------------------

@@ -6,6 +6,7 @@ these tests cross-check the two modules against each other.
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import random
 
@@ -41,13 +42,8 @@ from iasi import (
     search_identical_biarithmetic,
     serialize_labeling,
     star,
-    verify_biarithmetic,
-    verify_iasi,
-    verify_identical_biarithmetic,
-    verify_isoarithmetic,
-    verify_strong,
-    verify_uniform,
 )
+from iasi.cli import build_parser
 from conftest import random_graph
 
 # the package exports the construct() dispatcher under the module's name
@@ -60,7 +56,7 @@ construct_module = importlib.import_module("iasi.construct")
 def test_isoarithmetic_on_assorted_graphs():
     for g in [path(5), cycle(6), complete(4), star(4), graph(4, [])]:
         lab = construct_isoarithmetic(g, diff=3, sizes=4, seed=2)
-        assert verify_isoarithmetic(g, lab)
+        assert classify(g, lab).isoarithmetic
 
 
 def test_isoarithmetic_is_deterministic():
@@ -103,16 +99,16 @@ def test_side_pair_with_non_integer_member_names_the_bad_size():
 def test_uniform_isoarithmetic_edge_sizes():
     for l in (3, 5, 7):
         g = complete(4)
-        lab = construct_isoarithmetic(g, diff=2, sizes=l)
-        assert verify_uniform(g, lab) == (2 * l - 1, l)
+        rep = classify(g, construct_isoarithmetic(g, diff=2, sizes=l))
+        assert (rep.edge_uniform, rep.vertex_uniform) == (2 * l - 1, l)
 
 
 def test_bipartite_uniform_isoarithmetic():
     g = complete_bipartite(2, 3)
     lab = construct_bipartite_uniform_isoarithmetic(g, 3, 5, diff=2)
-    assert verify_isoarithmetic(g, lab)
-    edge_k, vertex_l = verify_uniform(g, lab)
-    assert edge_k == 7 and vertex_l is None
+    rep = classify(g, lab)
+    assert rep.isoarithmetic
+    assert rep.edge_uniform == 7 and rep.vertex_uniform is None
     sizes = sorted(len(lab.label(v)) for v in g.vertices)
     assert sizes == [3, 3, 5, 5, 5]
 
@@ -128,7 +124,7 @@ def test_bipartite_uniform_rejects_odd_cycle():
 def test_identical_biarithmetic_star():
     g = star(3)
     lab = construct_identical_biarithmetic(g, ratio=3, sizes=(3, 4), diff=2)
-    assert verify_identical_biarithmetic(g, lab) == 3
+    assert classify(g, lab).identical_biarithmetic == 3
 
 
 def test_identical_biarithmetic_respects_size_bound():
@@ -145,13 +141,13 @@ def test_identical_biarithmetic_respects_size_bound():
 def test_identical_biarithmetic_over_components():
     g = disjoint_union(path(3), complete_bipartite(2, 2))
     lab = construct_identical_biarithmetic(g, ratio=2, sizes=3, diff=1)
-    assert verify_identical_biarithmetic(g, lab) == 2
+    assert classify(g, lab).identical_biarithmetic == 2
 
 
 def test_strong_biarithmetic_full_product_edges():
     g = complete_bipartite(2, 3)
     lab = construct_strong_biarithmetic(g, sizes=(3, 4))
-    assert verify_strong(g, lab)
+    assert classify(g, lab).strong
     for u, v in g.edges:
         assert len(edge_label(lab, u, v)) == 12
 
@@ -164,9 +160,9 @@ def test_strong_biarithmetic_needs_uniform_x_side():
 
 def test_biarithmetic_on_non_bipartite_graphs():
     for g in [cycle(5), complete(4), cycle(7)]:
-        lab = construct_biarithmetic(g, ratio=2)
-        assert verify_biarithmetic(g, lab)
-        assert verify_identical_biarithmetic(g, lab) is None or g.edge_count == 1
+        rep = classify(g, construct_biarithmetic(g, ratio=2))
+        assert rep.biarithmetic
+        assert rep.identical_biarithmetic is None or g.edge_count == 1
 
 
 def test_biarithmetic_auto_sizes_track_levels():
@@ -174,7 +170,7 @@ def test_biarithmetic_auto_sizes_track_levels():
     lab = construct_biarithmetic(g, ratio=2)
     # greedy coloring gives levels 0..3, so vertex 0 must span ratio**3
     assert len(lab.label(0)) == 8
-    assert verify_biarithmetic(g, lab)
+    assert classify(g, lab).biarithmetic
 
 
 def test_biarithmetic_rejects_undersized_labels():
@@ -189,24 +185,23 @@ def test_biarithmetic_rejects_undersized_labels():
 
 def test_componentwise_mixed_components_odd_size():
     g = disjoint_union(cycle(5), complete_bipartite(2, 3))
-    lab = construct_componentwise_uniform(g, edge_size=7, diff=1)
-    assert verify_isoarithmetic(g, lab)
-    edge_k, vertex_l = verify_uniform(g, lab)
-    assert edge_k == 7 and vertex_l == 4  # odd component forces l=4, split lands there too
+    rep = classify(g, construct_componentwise_uniform(g, edge_size=7, diff=1))
+    assert rep.isoarithmetic
+    assert rep.edge_uniform == 7 and rep.vertex_uniform == 4  # odd component forces l=4, split lands there too
 
 
 def test_componentwise_bipartite_components_even_size():
     g = disjoint_union(cycle(6), complete_bipartite(2, 3))
     lab = construct_componentwise_uniform(g, edge_size=8, diff=2)
-    edge_k, vertex_l = verify_uniform(g, lab)
-    assert edge_k == 8 and vertex_l is None
+    rep = classify(g, lab)
+    assert rep.edge_uniform == 8 and rep.vertex_uniform is None
     assert sorted(set(len(lab.label(v)) for v in g.vertices)) == [4, 5]
 
 
 def test_componentwise_odd_components_only():
     g = disjoint_union(complete(3), complete(3))
-    lab = construct_componentwise_uniform(g, edge_size=9)
-    assert verify_uniform(g, lab) == (9, 5)
+    rep = classify(g, construct_componentwise_uniform(g, edge_size=9))
+    assert (rep.edge_uniform, rep.vertex_uniform) == (9, 5)
 
 
 def test_componentwise_infeasible_cases():
@@ -314,24 +309,24 @@ def test_cli_sparse_outputs_stay_seven_digits():
 
 def test_construct_dispatcher_covers_every_kind():
     g = complete_bipartite(2, 3)
+    # each kind, in the order of the table, and the report flag it must set
     cases = [
-        (ConstructSpec("isoarithmetic", diff=2), verify_isoarithmetic),
-        (ConstructSpec("uniform_isoarithmetic", sizes=4), verify_isoarithmetic),
-        (
-            ConstructSpec("bipartite_uniform_isoarithmetic", sizes=(3, 4)),
-            verify_isoarithmetic,
-        ),
-        (ConstructSpec("biarithmetic", ratio=2), verify_biarithmetic),
-        (
-            ConstructSpec("identical_biarithmetic", ratio=2, sizes=(3, 3)),
-            verify_biarithmetic,
-        ),
-        (ConstructSpec("strong_biarithmetic", sizes=(3, 4)), verify_strong),
-        (ConstructSpec("componentwise_uniform", edge_size=7), verify_isoarithmetic),
+        (ConstructSpec("isoarithmetic", diff=2), "isoarithmetic"),
+        (ConstructSpec("uniform_isoarithmetic", sizes=4), "isoarithmetic"),
+        (ConstructSpec("bipartite_uniform_isoarithmetic", sizes=(3, 4)), "isoarithmetic"),
+        (ConstructSpec("biarithmetic", ratio=2), "biarithmetic"),
+        (ConstructSpec("identical_biarithmetic", ratio=2, sizes=(3, 3)), "biarithmetic"),
+        (ConstructSpec("strong_biarithmetic", sizes=(3, 4)), "strong"),
+        (ConstructSpec("componentwise_uniform", edge_size=7), "isoarithmetic"),
     ]
-    for spec, check in cases:
+    assert [spec.kind for spec, _ in cases] == list(construct_module.KINDS)
+    for spec, flag in cases:
         lab = construct(g, spec)
-        assert check(g, lab), spec.kind
+        assert getattr(classify(g, lab), flag), spec.kind
+    # `iasi label --kind` offers exactly the table's kinds, in its order
+    (verbs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    (kind,) = [a for a in verbs.choices["label"]._actions if a.dest == "kind"]
+    assert list(kind.choices) == list(construct_module.KINDS)
 
 
 def test_constructors_certify_through_classify(monkeypatch):
@@ -341,8 +336,9 @@ def test_constructors_certify_through_classify(monkeypatch):
 
     g = complete_bipartite(2, 3)
     lab = Labeling({v: gapped((1 << v) - 1, 1, 3) for v in g.vertices})
-    assert verify_iasi(g, lab) == (True, [])
-    assert not classify(g, lab).arithmetic
+    rep = classify(g, lab)
+    assert rep.is_iasi and rep.violations == ()
+    assert not rep.arithmetic
     monkeypatch.setattr(construct_module, "ap_set", gapped)
     specs = [
         ConstructSpec("isoarithmetic", diff=2),
@@ -362,8 +358,9 @@ def test_constructors_certify_through_classify(monkeypatch):
 
 def test_construct_dispatcher_rejects_bad_specs():
     g = path(3)
-    with pytest.raises(ValueError):
-        construct(g, ConstructSpec("no-such-kind"))
+    for kind in ("no-such-kind", ["isoarithmetic"]):  # a list is no kind, and unhashable
+        with pytest.raises(ValueError, match="unknown construction kind"):
+            construct(g, ConstructSpec(kind))
     with pytest.raises(ValueError):
         construct(g, ConstructSpec("identical_biarithmetic"))
     with pytest.raises(ValueError):
@@ -386,7 +383,7 @@ def test_search_frozen_witness_on_four_cycle():
         2: (2, 3, 4),
         3: (1, 3, 5),
     }
-    assert verify_identical_biarithmetic(cycle(4), lab) == 2
+    assert classify(cycle(4), lab).identical_biarithmetic == 2
 
 
 # K4,4 and K3,4 put four and three interchangeable vertices on a side,
@@ -431,7 +428,7 @@ def test_search_finds_witnesses_on_even_structures():
     for g in [path(2), path(3), path(4), path(5), path(6), cycle(6), complete_bipartite(2, 3)]:
         lab = search_identical_biarithmetic(g)
         assert lab is not None
-        k = verify_identical_biarithmetic(g, lab)
+        k = classify(g, lab).identical_biarithmetic
         assert k in (2, 3)
 
 
@@ -444,7 +441,7 @@ def test_search_witness_respects_bound():
     bound = SearchBound(max_element=20, sizes=(3,), ratios=(3,))
     lab = search_identical_biarithmetic(cycle(4), bound)
     assert lab is not None
-    assert verify_identical_biarithmetic(cycle(4), lab) == 3
+    assert classify(cycle(4), lab).identical_biarithmetic == 3
     for v in cycle(4).vertices:
         assert len(lab.label(v)) == 3
         assert lab.label(v).max <= 20
@@ -542,8 +539,7 @@ def test_random_constructions_verify_under_their_class():
         g = random_graph(rng, max_n=8, p=0.45)
         seed = rng.randint(0, 500)
         lab = construct_isoarithmetic(g, diff=rng.randint(1, 6), sizes=rng.randint(3, 6), seed=seed)
-        assert verify_isoarithmetic(g, lab)
-        ok, violations = verify_iasi(g, lab)
-        assert ok and violations == []
+        rep = classify(g, lab)
+        assert rep.isoarithmetic and rep.violations == ()
         lab = construct_biarithmetic(g, ratio=rng.choice([2, 3]), seed=seed)
-        assert verify_biarithmetic(g, lab) or not g.edges
+        assert classify(g, lab).biarithmetic or not g.edges

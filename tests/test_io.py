@@ -7,6 +7,7 @@ asserts the reported line number.
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 
@@ -14,6 +15,7 @@ from iasi import (
     Labeling,
     ParseError,
     ap_set,
+    audit,
     audit_point,
     classify,
     compat_partition,
@@ -32,6 +34,7 @@ from iasi import (
     serialize_profile,
     serialize_report,
 )
+from iasi.compat import AUDITS
 from conftest import random_arith_labeling, random_graph
 
 
@@ -226,6 +229,21 @@ def test_audit_structured_rendering():
     assert "observed.max_count=2" in lines[1]
     assert "observed.histogram=1:4,2:5,3:2" in lines[1]
     assert lines[-1] == "2 grid points: 1 match, 1 mismatch, 0 skipped"
+
+
+def test_audit_structured_records_repeat_no_key():
+    # observed.histogram once, also where the prediction holds a histogram
+    for theorem, (members, _) in AUDITS.items():
+        grid = dict.fromkeys(p[:members] for p in product(range(3, 9), range(3, 7), range(1, 5)))
+        lines = serialize_audit(audit(theorem, grid), fmt="structured").splitlines()[:-1]
+        audited = 0
+        for line in lines:
+            keys = [token.partition("=")[0] for token in line.partition(' reason="')[0].split()]
+            assert len(keys) == len(set(keys)), line
+            if "verdict=skipped" not in line:
+                assert "observed.histogram" in keys, line
+                audited += 1
+        assert audited, theorem
 
 
 # --- DOT export -------------------------------------------------------------------------

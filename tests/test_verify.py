@@ -9,11 +9,8 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-import pytest
-
 from iasi import (
     Labeling,
-    NotArithmeticError,
     ap_set,
     bipartition,
     classify,
@@ -28,13 +25,6 @@ from iasi import (
     path,
     star,
     sumset,
-    verify_arithmetic,
-    verify_biarithmetic,
-    verify_iasi,
-    verify_identical_biarithmetic,
-    verify_isoarithmetic,
-    verify_strong,
-    verify_uniform,
 )
 from conftest import random_arith_labeling, random_graph, sidon_firsts
 
@@ -54,67 +44,66 @@ def find_edge_collision():
     raise AssertionError("no collision instance found")
 
 
-# --- verify_iasi ------------------------------------------------------------
+# --- injectivity -----------------------------------------------------------------
 
 
 def test_iasi_accepts_injective_path():
     lab = Labeling({0: (0, 1), 1: (2, 3)})
-    ok, violations = verify_iasi(path(2), lab)
-    assert ok and violations == []
+    rep = classify(path(2), lab)
+    assert rep.is_iasi and rep.violations == ()
 
 
 def test_iasi_rejects_duplicate_vertex_labels():
     lab = Labeling({0: (0, 1), 1: (2, 3), 2: (0, 1)})
-    ok, violations = verify_iasi(path(3), lab)
-    assert not ok
-    assert any(v.rule == "vertex-label-collision" for v in violations)
+    rep = classify(path(3), lab)
+    assert not rep.is_iasi
+    assert any(v.rule == "vertex-label-collision" for v in rep.violations)
 
 
 def test_iasi_rejects_edge_label_collision():
     a, b, c = find_edge_collision()
     assert (a, b, c) == ((0, 1, 3), (0, 1, 2, 3), (0, 2, 3))  # frozen witness
     lab = Labeling({0: a, 1: b, 2: c})
-    ok, violations = verify_iasi(path(3), lab)
-    assert not ok
-    assert [v.rule for v in violations] == ["edge-label-collision"]
+    rep = classify(path(3), lab)
+    assert not rep.is_iasi
+    assert [v.rule for v in rep.violations] == ["edge-label-collision"]
 
 
-# --- verify_arithmetic ---------------------------------------------------------
+# --- arithmetic ----------------------------------------------------------------
 
 
 def test_arithmetic_integral_bounded_ratio_passes():
     lab = Labeling({0: ap_set(0, 2, 4), 1: ap_set(1, 6, 3)})
-    ok, violations = verify_arithmetic(path(2), lab)
-    assert ok and violations == []
+    rep = classify(path(2), lab)
+    assert rep.arithmetic and rep.violations == ()
 
 
 def test_arithmetic_boundary_ratio_equal_size_passes():
     lab = Labeling({0: ap_set(0, 2, 3), 1: ap_set(1, 6, 5)})
-    ok, _ = verify_arithmetic(path(2), lab)
-    assert ok  # k = 3 equals the smaller-index label size
+    assert classify(path(2), lab).arithmetic  # k = 3 equals the smaller-index label size
 
 
 def test_arithmetic_rejects_fractional_ratio():
     lab = Labeling({0: ap_set(0, 2, 4), 1: ap_set(1, 7, 3)})
-    ok, violations = verify_arithmetic(path(2), lab)
-    assert not ok
-    assert violations[0].rule == "ratio-not-integral"
+    rep = classify(path(2), lab)
+    assert not rep.arithmetic
+    assert rep.violations[0].rule == "ratio-not-integral"
 
 
 def test_arithmetic_rejects_oversized_ratio():
     lab = Labeling({0: ap_set(0, 1, 3), 1: ap_set(0, 5, 3)})
-    ok, violations = verify_arithmetic(path(2), lab)
-    assert not ok
-    assert violations[0].rule == "ratio-exceeds-size"
+    rep = classify(path(2), lab)
+    assert not rep.arithmetic
+    assert rep.violations[0].rule == "ratio-exceeds-size"
 
 
 def test_arithmetic_requires_progressions_of_three():
-    lab = Labeling({0: (0, 1, 4), 1: ap_set(0, 2, 3)})
-    with pytest.raises(NotArithmeticError):
-        verify_arithmetic(path(2), lab)
-    lab = Labeling({0: (0, 1), 1: ap_set(0, 2, 3)})
-    with pytest.raises(NotArithmeticError):
-        verify_arithmetic(path(2), lab)
+    # a label that is no progression, or has 2 elements, is reported, not raised
+    for first in [(0, 1, 4), (0, 1)]:
+        rep = classify(path(2), Labeling({0: first, 1: ap_set(0, 2, 3)}))
+        assert rep.is_iasi
+        assert not rep.vertex_arithmetic and not rep.arithmetic
+        assert not any(v.rule.startswith("ratio-") for v in rep.violations)
 
 
 def test_arithmetic_matches_edge_progression_test():
@@ -129,9 +118,8 @@ def test_arithmetic_matches_edge_progression_test():
                 for v in g.vertices
             }
         )
-        ok, _ = verify_arithmetic(g, lab)
         edges_ap = all(detect_ap(edge_label(lab, u, v)) is not None for u, v in g.edges)
-        assert ok == edges_ap
+        assert classify(g, lab).arithmetic == edges_ap
 
 
 # --- shared-difference class ------------------------------------------------------
@@ -139,18 +127,18 @@ def test_arithmetic_matches_edge_progression_test():
 
 def test_isoarithmetic_shared_diff():
     lab = Labeling({v: ap_set(4 * v * v + v, 4, 3) for v in range(3)})
-    assert verify_isoarithmetic(path(3), lab)
+    assert classify(path(3), lab).isoarithmetic
 
 
 def test_isoarithmetic_rejects_mixed_diffs():
     lab = Labeling(
         {0: ap_set(0, 2, 3), 1: ap_set(1, 2, 3), 2: ap_set(0, 4, 3)}
     )
-    assert not verify_isoarithmetic(cycle(3), lab)
+    rep = classify(cycle(3), lab)
+    assert not rep.isoarithmetic
     # still arithmetic: ratios are 1, 2, 2 with sizes 3
-    ok, _ = verify_arithmetic(cycle(3), lab)
-    assert ok
-    assert not verify_biarithmetic(cycle(3), lab)  # the ratio-1 edge blocks it
+    assert rep.arithmetic
+    assert not rep.biarithmetic  # the ratio-1 edge blocks it
 
 
 # --- proper-ratio classes -----------------------------------------------------------
@@ -158,26 +146,26 @@ def test_isoarithmetic_rejects_mixed_diffs():
 
 def test_biarithmetic_examples():
     lab = Labeling({0: ap_set(0, 1, 3), 1: ap_set(0, 2, 3)})
-    assert verify_biarithmetic(path(2), lab)
+    assert classify(path(2), lab).biarithmetic
     lab = Labeling({0: ap_set(0, 2, 3), 1: ap_set(1, 2, 3)})
-    assert not verify_biarithmetic(path(2), lab)  # ratio 1
+    assert not classify(path(2), lab).biarithmetic  # ratio 1
     lab = Labeling({0: ap_set(0, 1, 3), 1: ap_set(0, 5, 3)})
-    assert not verify_biarithmetic(path(2), lab)  # ratio 5 over size 3
+    assert not classify(path(2), lab).biarithmetic  # ratio 5 over size 3
 
 
 def test_identical_biarithmetic_star():
     center = ap_set(0, 6, 3)
     leaves = [ap_set(1, 2, 3), ap_set(2, 2, 4), ap_set(9, 2, 3)]
     lab = Labeling({0: center, 1: leaves[0], 2: leaves[1], 3: leaves[2]})
-    assert verify_identical_biarithmetic(star(3), lab) == 3
+    assert classify(star(3), lab).identical_biarithmetic == 3
 
 
 def test_identical_biarithmetic_needs_one_ratio():
     lab = Labeling(
         {0: ap_set(0, 1, 3), 1: ap_set(0, 2, 3), 2: ap_set(0, 6, 3)}
     )
-    assert verify_biarithmetic(path(3), lab)  # ratios 2 then 3
-    assert verify_identical_biarithmetic(path(3), lab) is None
+    assert classify(path(3), lab).biarithmetic  # ratios 2 then 3
+    assert classify(path(3), lab).identical_biarithmetic is None
 
 
 def test_identical_biarithmetic_alternating_cycle():
@@ -189,7 +177,7 @@ def test_identical_biarithmetic_alternating_cycle():
             3: ap_set(11, 2, 3),
         }
     )
-    assert verify_identical_biarithmetic(cycle(4), lab) == 2
+    assert classify(cycle(4), lab).identical_biarithmetic == 2
 
 
 # --- strong -----------------------------------------------------------------------
@@ -197,9 +185,9 @@ def test_identical_biarithmetic_alternating_cycle():
 
 def test_strong_examples():
     lab = Labeling({0: (0, 1, 2), 1: (0, 3, 6)})
-    assert verify_strong(path(2), lab)
+    assert classify(path(2), lab).strong
     lab = Labeling({0: (1, 3, 5), 1: (2, 4, 6)})
-    assert not verify_strong(path(2), lab)
+    assert not classify(path(2), lab).strong
 
 
 def test_no_strong_shared_difference_possible():
@@ -216,8 +204,8 @@ def test_no_strong_shared_difference_possible():
             g, diff=rng.randint(1, 4),
             sizes=[rng.randint(3, 6) for _ in g.vertices], seed=rng.randint(0, 99),
         )
-        assert verify_isoarithmetic(g, lab)
-        assert not verify_strong(g, lab)
+        rep = classify(g, lab)
+        assert rep.isoarithmetic and not rep.strong
 
 
 # --- uniformity ----------------------------------------------------------------------
@@ -226,15 +214,14 @@ def test_no_strong_shared_difference_possible():
 def test_uniform_vertex_sizes_give_uniform_edges():
     for l in range(3, 9):
         g = cycle(5)
-        lab = construct_isoarithmetic(g, diff=2, sizes=l)
-        assert verify_uniform(g, lab) == (2 * l - 1, l)
+        rep = classify(g, construct_isoarithmetic(g, diff=2, sizes=l))
+        assert (rep.edge_uniform, rep.vertex_uniform) == (2 * l - 1, l)
 
 
 def test_uniform_bipartite_mixed_sizes():
     g = complete_bipartite(2, 3)
-    lab = construct_bipartite_uniform_isoarithmetic(g, 3, 4, diff=1)
-    edge_k, vertex_l = verify_uniform(g, lab)
-    assert edge_k == 6 and vertex_l is None
+    rep = classify(g, construct_bipartite_uniform_isoarithmetic(g, 3, 4, diff=1))
+    assert rep.edge_uniform == 6 and rep.vertex_uniform is None
 
 
 def test_uniform_edges_need_uniform_vertices_or_bipartite():
@@ -246,19 +233,18 @@ def test_uniform_edges_need_uniform_vertices_or_bipartite():
         if not g.edges:
             continue
         lab = random_arith_labeling(rng, g, mixed=False)
-        edge_k, vertex_l = verify_uniform(g, lab)
-        if edge_k is None:
+        rep = classify(g, lab)
+        if rep.edge_uniform is None:
             continue
         seen_uniform += 1
-        assert vertex_l is not None or bipartition(g) is not None
+        assert rep.vertex_uniform is not None or bipartition(g) is not None
     assert seen_uniform > 0
 
 
 def test_odd_cycle_mixed_sizes_never_edge_uniform():
     g = cycle(5)
-    lab = construct_isoarithmetic(g, diff=1, sizes=[3, 4, 3, 4, 4])
-    edge_k, vertex_l = verify_uniform(g, lab)
-    assert edge_k is None and vertex_l is None
+    rep = classify(g, construct_isoarithmetic(g, diff=1, sizes=[3, 4, 3, 4, 4]))
+    assert rep.edge_uniform is None and rep.vertex_uniform is None
 
 
 # --- classify: the containment chain ---------------------------------------------------
@@ -311,7 +297,7 @@ def test_restrictions_inherit_the_class():
         )
         sub = induced_subgraph(g, keep)
         lab = construct_isoarithmetic(g, diff=2, sizes=3, seed=1)
-        assert verify_isoarithmetic(sub, lab.restrict(keep))
+        assert classify(sub, lab.restrict(keep)).isoarithmetic
         hit_iso += 1
         if bipartition(g) is not None and g.edges:
             lab = Labeling(
@@ -320,8 +306,8 @@ def test_restrictions_inherit_the_class():
                     for v, d in _alternating_diffs(g).items()
                 }
             )
-            if verify_biarithmetic(g, lab):
-                assert verify_biarithmetic(sub, lab.restrict(keep)) or not induced_subgraph(g, keep).edges
+            if classify(g, lab).biarithmetic:
+                assert classify(sub, lab.restrict(keep)).biarithmetic or not induced_subgraph(g, keep).edges
                 hit_bi += 1
     assert hit_iso > 20
 
