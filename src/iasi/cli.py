@@ -96,26 +96,19 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sizes_argument(g: Graph, text: Optional[str]):
-    if text is None:
-        return None
-    values = [int(p) for p in text.split(",") if p]
-    if len(values) == 1:
-        return values[0]
-    if len(values) == g.vertex_count:
-        return values
-    if len(values) == 2:
-        return (values[0], values[1])  # per-side (x, y)
-    raise ValueError(
-        f"--sizes wants one value, two side values, or {g.vertex_count} per-vertex values"
-    )
-
-
 def _cmd_label(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
-    sizes = _sizes_argument(g, args.sizes)
-    if args.m is not None and args.n is not None:
+    if (args.m is None) != (args.n is None):
+        raise ValueError("--m and --n go together")
+    if args.m is not None:
+        if args.sizes is not None:
+            raise ValueError("give --sizes or --m/--n, not both")
         sizes = (args.m, args.n)
+    elif args.sizes is not None:
+        values = _parse_values(args.sizes)
+        sizes = values[0] if len(values) == 1 else tuple(values)
+    else:
+        sizes = None
+    g = _load_graph(args.graph)
     spec = ConstructSpec(
         kind=args.kind,
         diff=args.d,

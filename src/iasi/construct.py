@@ -18,6 +18,11 @@ anyway: ``classify`` must call the labeling arithmetic (which implies
 an IASI), and the search's witness must also carry the searched ratio
 on every edge; anything else raises ConstructionError.
 
+``_resolve_sizes`` is the one reader of a size argument; a pair means
+one size per side only for the kinds with sides.  ``construct`` reads a
+ConstructSpec through KINDS, whose rows name the fields each kind needs
+and may take; any other field set raises ValueError, never dropped.
+
 The exhaustive search keys labels by (first, diff, size) and edges by
 (a + b, d, m + k*(n - 1)), the sumset of (a, d, m) and (b, k*d, n) when
 k <= m; only the witness is built as sets.  It places twins, vertices
@@ -61,8 +66,24 @@ class SizeLimitError(ConstructionError):
     """The graph is too large for the exhaustive search."""
 
 
-def _resolve_sizes(g: Graph, sizes: int | Sequence[int] | dict[int, int]) -> dict[int, int]:
-    if isinstance(sizes, dict):
+def _sides(g: Graph) -> Bipartition:
+    """The bipartition of g, for the kinds that size or scale by side."""
+    bip = bipartition(g)
+    if bip is None:
+        raise NotBipartiteError("graph has an odd cycle")
+    return bip
+
+
+def _resolve_sizes(
+    g: Graph,
+    sizes: int | tuple[int, int] | Sequence[int] | dict[int, int],
+    bip: Optional[Bipartition] = None,
+) -> dict[int, int]:
+    """One int >= 3 per vertex from an int, a dict, V values, or, given bip, a side pair."""
+    if bip is not None and isinstance(sizes, tuple) and len(sizes) == 2:
+        x_size, y_size = sizes
+        out = {v: (x_size if v in bip.side_x else y_size) for v in g.vertices}
+    elif isinstance(sizes, dict):
         out = dict(sizes)
     elif isinstance(sizes, Sequence):
         if len(sizes) != g.vertex_count:
@@ -147,23 +168,11 @@ def construct_bipartite_uniform_isoarithmetic(
 
     Every edge then has cardinality m + n - 1.
     """
-    bip = bipartition(g)
-    if bip is None:
-        raise NotBipartiteError("graph has an odd cycle")
-    sizes = {v: (m if v in bip.side_x else n) for v in g.vertices}
+    sizes = _resolve_sizes(g, (m, n), _sides(g))
     return construct_isoarithmetic(g, diff=diff, sizes=sizes, seed=seed)
 
 
 # --- proper-ratio families ---------------------------------------------
-
-
-def _split_sizes(
-    g: Graph, bip: Bipartition, sizes: int | tuple[int, int] | Sequence[int] | dict[int, int]
-) -> dict[int, int]:
-    if isinstance(sizes, tuple) and len(sizes) == 2:
-        x_size, y_size = sizes
-        sizes = {v: (x_size if v in bip.side_x else y_size) for v in g.vertices}
-    return _resolve_sizes(g, sizes)
 
 
 def construct_identical_biarithmetic(
@@ -183,10 +192,8 @@ def construct_identical_biarithmetic(
         raise ValueError("ratio must be at least 2")
     if diff < 1:
         raise ValueError("difference must be positive")
-    bip = bipartition(g)
-    if bip is None:
-        raise NotBipartiteError("a single edge ratio forces a two-coloring; graph has an odd cycle")
-    size_map = _split_sizes(g, bip, sizes)
+    bip = _sides(g)
+    size_map = _resolve_sizes(g, sizes, bip)
     low = min((size_map[v] for v in bip.side_x), default=None)
     if low is not None and ratio > low:
         raise RatioBoundError(
@@ -207,10 +214,8 @@ def construct_strong_biarithmetic(
     Side x must be uniformly sized; the y-side difference is that size
     times diff, so every edge label has the full product cardinality.
     """
-    bip = bipartition(g)
-    if bip is None:
-        raise NotBipartiteError("graph has an odd cycle")
-    size_map = _split_sizes(g, bip, sizes)
+    bip = _sides(g)
+    size_map = _resolve_sizes(g, sizes, bip)
     x_sizes = {size_map[v] for v in bip.side_x}
     if len(x_sizes) > 1:
         raise ValueError(f"x-side sizes must all be equal, got {sorted(x_sizes)}")
@@ -335,71 +340,60 @@ class ConstructSpec:
     seed: int = 0
 
 
-def _isoarithmetic(g: Graph, spec: ConstructSpec) -> Labeling:
-    sizes = spec.sizes if spec.sizes is not None else 3
-    return construct_isoarithmetic(g, diff=spec.diff, sizes=sizes, seed=spec.seed)
-
-
-def _uniform_isoarithmetic(g: Graph, spec: ConstructSpec) -> Labeling:
-    if not isinstance(spec.sizes, int):
+def _uniform_isoarithmetic(g: Graph, sizes: int, diff: int, seed: int) -> Labeling:
+    if not isinstance(sizes, int):
         raise ValueError("uniform_isoarithmetic takes one integer size")
-    return construct_isoarithmetic(g, diff=spec.diff, sizes=spec.sizes, seed=spec.seed)
+    return construct_isoarithmetic(g, diff=diff, sizes=sizes, seed=seed)
 
 
-def _bipartite_uniform_isoarithmetic(g: Graph, spec: ConstructSpec) -> Labeling:
-    if not (isinstance(spec.sizes, (tuple, list)) and len(spec.sizes) == 2):
+def _bipartite_uniform_isoarithmetic(
+    g: Graph, sizes: tuple[int, int], diff: int, seed: int
+) -> Labeling:
+    if not (isinstance(sizes, (tuple, list)) and len(sizes) == 2):
         raise ValueError("bipartite_uniform_isoarithmetic takes sizes (m, n)")
-    m, n = spec.sizes
-    return construct_bipartite_uniform_isoarithmetic(g, m, n, diff=spec.diff, seed=spec.seed)
-
-
-def _biarithmetic(g: Graph, spec: ConstructSpec) -> Labeling:
-    return construct_biarithmetic(
-        g, ratio=spec.ratio if spec.ratio is not None else 2,
-        diff=spec.diff, sizes=spec.sizes, seed=spec.seed,
-    )
-
-
-def _identical_biarithmetic(g: Graph, spec: ConstructSpec) -> Labeling:
-    if spec.ratio is None:
-        raise ValueError("identical_biarithmetic needs a ratio")
-    sizes = spec.sizes if spec.sizes is not None else 3
-    return construct_identical_biarithmetic(
-        g, spec.ratio, diff=spec.diff, sizes=sizes, seed=spec.seed
-    )
-
-
-def _strong_biarithmetic(g: Graph, spec: ConstructSpec) -> Labeling:
-    sizes = spec.sizes if spec.sizes is not None else 3
-    return construct_strong_biarithmetic(g, diff=spec.diff, sizes=sizes, seed=spec.seed)
-
-
-def _componentwise_uniform(g: Graph, spec: ConstructSpec) -> Labeling:
-    if spec.edge_size is None:
-        raise ValueError("componentwise_uniform needs an edge size")
-    return construct_componentwise_uniform(g, spec.edge_size, diff=spec.diff, seed=spec.seed)
+    m, n = sizes
+    return construct_bipartite_uniform_isoarithmetic(g, m, n, diff=diff, seed=seed)
 
 
 # every construction kind, in the order ``iasi label --kind`` lists
-# them, and the builder that reads its ConstructSpec
-KINDS: dict[str, Callable[[Graph, ConstructSpec], Labeling]] = {
-    "isoarithmetic": _isoarithmetic,
-    "uniform_isoarithmetic": _uniform_isoarithmetic,
-    "bipartite_uniform_isoarithmetic": _bipartite_uniform_isoarithmetic,
-    "biarithmetic": _biarithmetic,
-    "identical_biarithmetic": _identical_biarithmetic,
-    "strong_biarithmetic": _strong_biarithmetic,
-    "componentwise_uniform": _componentwise_uniform,
+# them: its builder, the ConstructSpec fields it needs and the ones it
+# may take.  Every builder also takes diff and seed; a field left None
+# falls back to the builder's own default.
+KINDS: dict[str, tuple[Callable[..., Labeling], tuple[str, ...], tuple[str, ...]]] = {
+    "isoarithmetic": (construct_isoarithmetic, (), ("sizes",)),
+    "uniform_isoarithmetic": (_uniform_isoarithmetic, ("sizes",), ()),
+    "bipartite_uniform_isoarithmetic": (_bipartite_uniform_isoarithmetic, ("sizes",), ()),
+    "biarithmetic": (construct_biarithmetic, (), ("ratio", "sizes")),
+    "identical_biarithmetic": (construct_identical_biarithmetic, ("ratio",), ("sizes",)),
+    "strong_biarithmetic": (construct_strong_biarithmetic, (), ("sizes",)),
+    "componentwise_uniform": (construct_componentwise_uniform, ("edge_size",), ()),
 }
 
 
 def construct(g: Graph, spec: ConstructSpec) -> Labeling:
+    """Build spec.kind on g; a needed field left None or an unread one set is a ValueError."""
     if not isinstance(spec.kind, str) or spec.kind not in KINDS:
         raise ValueError(f"unknown construction kind {spec.kind!r}")
-    return KINDS[spec.kind](g, spec)
+    build, needs, takes = KINDS[spec.kind]
+    given = {
+        name: value
+        for name in ("sizes", "ratio", "edge_size")
+        if (value := getattr(spec, name)) is not None
+    }
+    for name in needs:
+        if name not in given:
+            raise ValueError(f"{spec.kind} needs {name}")
+    for name in given:
+        if name not in needs and name not in takes:
+            raise ValueError(f"{spec.kind} does not read {name}")
+    return build(g, diff=spec.diff, seed=spec.seed, **given)
 
 
 # --- exhaustive search ----------------------------------------------------
+
+
+# the most vertices the exhaustive search takes; larger graphs raise SizeLimitError
+MAX_SEARCH_VERTICES = 8
 
 
 @dataclass(frozen=True)
@@ -408,21 +402,20 @@ class SearchBound:
 
     Every field must be exactly int, or a non-empty collection of them
     for sizes and ratios; anything else raises ValueError here rather
-    than a TypeError mid-search.  Sizes below 3, ratios below 2 and a
-    vertex cap below 1 could only give labelings outside the class, and
-    a negative largest element gives no window at all, so they raise
-    ValueError too.  Sizes and ratios are then kept as ascending tuples
-    of distinct values: a repeat would only sweep the same candidates
-    again.
+    than a TypeError mid-search.  Sizes below 3 and ratios below 2 could
+    only give labelings outside the class, and a negative largest
+    element gives no window at all, so they raise ValueError too.  Sizes
+    and ratios are then kept as ascending tuples of distinct values: a
+    repeat would only sweep the same candidates again.  The vertex cap
+    is the constant MAX_SEARCH_VERTICES, not part of the window.
     """
 
     max_element: int = 30
     sizes: tuple[int, ...] = (3, 4)
     ratios: tuple[int, ...] = (2, 3)
-    max_vertices: int = 8
 
     def __post_init__(self) -> None:
-        _require_ints(max_element=self.max_element, max_vertices=self.max_vertices)
+        _require_ints(max_element=self.max_element)
         for name in ("sizes", "ratios"):
             raw = getattr(self, name)
             values = tuple(raw) if isinstance(raw, Iterable) else ()
@@ -437,8 +430,6 @@ class SearchBound:
             raise ValueError(f"search sizes must be at least 3, got {self.sizes}")
         if self.ratios[0] < 2:
             raise ValueError(f"search ratios must be at least 2, got {self.ratios}")
-        if self.max_vertices < 1:
-            raise ValueError(f"max_vertices must be at least 1, got {self.max_vertices}")
 
 
 def search_identical_biarithmetic(g: Graph, bound: SearchBound = SearchBound()) -> Optional[Labeling]:
@@ -469,9 +460,10 @@ def search_identical_biarithmetic(g: Graph, bound: SearchBound = SearchBound()) 
     with equal differences never tie.  So the least witness obeys every
     twin rule and is never pruned.
     """
-    if g.vertex_count > bound.max_vertices:
+    if g.vertex_count > MAX_SEARCH_VERTICES:
         raise SizeLimitError(
-            f"exhaustive search is limited to {bound.max_vertices} vertices, got {g.vertex_count}"
+            f"exhaustive search is limited to {MAX_SEARCH_VERTICES} vertices, "
+            f"got {g.vertex_count}"
         )
     if not g.edges:
         raise InfeasibleError("a graph without edges has no edge ratio to share")

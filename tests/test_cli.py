@@ -7,14 +7,28 @@ search, 2 usage or input errors, 3 infeasible construction.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import subprocess
 import sys
 from unittest import mock
 
 import pytest
 
-from iasi import cli, parse_graph, parse_labeling, serialize_graph, cycle, path
+from iasi import (
+    ConstructionError,
+    ConstructSpec,
+    cli,
+    construct,
+    cycle,
+    graph,
+    parse_graph,
+    parse_labeling,
+    path,
+    serialize_graph,
+    serialize_labeling,
+)
 from iasi.cli import build_parser, main
+from iasi.construct import KINDS
 
 
 @pytest.fixture
@@ -105,7 +119,7 @@ def test_label_side_sizes_via_m_n(run, tmp_path):
 
 
 def test_label_side_sizes_on_two_vertices(run, tmp_path):
-    # two --sizes values on a 2-vertex graph also read as per-vertex sizes
+    # two --sizes values are one size per side, as --m/--n are
     gpath = write_graph(tmp_path, path(2))
     code, out, err = run(
         "label", "--graph", gpath, "--kind", "bipartite_uniform_isoarithmetic",
@@ -117,6 +131,95 @@ def test_label_side_sizes_on_two_vertices(run, tmp_path):
         "label", "--graph", gpath, "--kind", "bipartite_uniform_isoarithmetic",
         "--m", "3", "--n", "4",
     )[1] == out
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--m", "3"], "--m and --n go together"),
+    (["--n", "4"], "--m and --n go together"),
+    (["--m", "3", "--n", "4", "--sizes", "5"], "give --sizes or --m/--n, not both"),
+    (["--sizes", "3", "--m", "3", "--n", "4"], "give --sizes or --m/--n, not both"),
+], ids=["m-alone", "n-alone", "m-n-then-sizes", "sizes-then-m-n"])
+def test_label_m_and_n_form_one_size_pair(run, tmp_path, flags, message):
+    # each used to be dropped without a word
+    gpath = write_graph(tmp_path, cycle(4))
+    code, out, err = run(
+        "label", "--graph", gpath, "--kind", "bipartite_uniform_isoarithmetic", *flags
+    )
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_label_flag_the_kind_does_not_read_is_usage_error(run, tmp_path):
+    gpath = write_graph(tmp_path, cycle(4))
+    for flags, message in [
+        (["--kind", "componentwise_uniform", "--r", "7", "--sizes", "9"],
+         "componentwise_uniform does not read sizes"),
+        (["--kind", "isoarithmetic", "--k", "3"], "isoarithmetic does not read ratio"),
+        (["--kind", "strong_biarithmetic", "--r", "5"],
+         "strong_biarithmetic does not read edge_size"),
+    ]:
+        assert run("label", "--graph", gpath, *flags) == (2, "", f"error: {message}\n")
+
+
+# the flags and ConstructSpec fields each kind needs before any size form applies
+NEEDED = {
+    "identical_biarithmetic": (["--k", "3"], {"ratio": 3}),
+    "componentwise_uniform": (["--r", "7"], {"edge_size": 7}),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_label_agrees_with_the_library(run, tmp_path, kind):
+    # two --sizes values used to mean per-vertex sizes on 2-vertex graphs
+    # and per-side sizes elsewhere, while the library read them per side
+    flags, fields = NEEDED.get(kind, ([], {}))
+    for g in [path(4), cycle(4), path(2), graph(2, [])]:
+        gpath = write_graph(tmp_path, g)
+        per_vertex = (4, 5, 4, 6)[: g.vertex_count]
+        forms = [
+            (["--sizes", "4"], 4),
+            (["--sizes", "4,3"], (4, 3)),
+            (["--m", "4", "--n", "3"], (4, 3)),
+            (["--sizes", ",".join(map(str, per_vertex))], per_vertex),
+        ]
+        for size_flags, sizes in forms:
+            got = run("label", "--graph", gpath, "--kind", kind, *flags, *size_flags)
+            try:
+                lab = construct(g, ConstructSpec(kind, sizes=sizes, **fields))
+                want = (0, serialize_labeling(lab), "")
+            except ConstructionError as exc:
+                want = (3, "", f"error: {exc}\n")
+            except ValueError as exc:
+                want = (2, "", f"error: {exc}\n")
+            assert got == want, (kind, g, size_flags)
+
+
+def test_every_label_flag_fills_a_spec_field(tmp_path, monkeypatch):
+    gpath = write_graph(tmp_path, path(3))
+    specs = []
+
+    def record(g, spec):
+        specs.append(spec)
+        raise ValueError("recorded")
+
+    monkeypatch.setattr(cli, "construct", record)
+    monkeypatch.delenv("IASI_SEED", raising=False)
+    argv = ["label", "--graph", gpath, "--kind", "isoarithmetic"]
+    assert main(argv) == 2
+    (label,) = [
+        sub.choices["label"] for sub in build_parser()._actions
+        if isinstance(sub, argparse._SubParsersAction)
+    ]
+    partner = {"--m": ["--n", "5"], "--n": ["--m", "5"]}
+    for action in label._actions:
+        (flag, *_) = action.option_strings
+        if flag in ("-h", "--graph", "--kind", "--format", "--out"):
+            continue
+        assert main([*argv, flag, "5", *partner.get(flag, [])]) == 2
+        assert specs[-1] != specs[0], flag
+    # and every field a flag can fill is read by some kind
+    read = {name for _, needs, takes in KINDS.values() for name in needs + takes}
+    fields = {f.name for f in dataclasses.fields(ConstructSpec)}
+    assert fields - {"kind", "diff", "seed"} == read
 
 
 def test_label_odd_cycle_single_ratio_is_infeasible(run, tmp_path):

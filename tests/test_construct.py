@@ -361,14 +361,27 @@ def test_construct_dispatcher_rejects_bad_specs():
     for kind in ("no-such-kind", ["isoarithmetic"]):  # a list is no kind, and unhashable
         with pytest.raises(ValueError, match="unknown construction kind"):
             construct(g, ConstructSpec(kind))
-    with pytest.raises(ValueError):
-        construct(g, ConstructSpec("identical_biarithmetic"))
-    with pytest.raises(ValueError):
-        construct(g, ConstructSpec("componentwise_uniform"))
+    for kind, field in [
+        ("identical_biarithmetic", "ratio"),
+        ("componentwise_uniform", "edge_size"),
+        ("uniform_isoarithmetic", "sizes"),
+        ("bipartite_uniform_isoarithmetic", "sizes"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{kind} needs {field}$"):
+            construct(g, ConstructSpec(kind))
     with pytest.raises(ValueError):
         construct(g, ConstructSpec("uniform_isoarithmetic", sizes=(3, 4)))
     with pytest.raises(ValueError):
         construct(g, ConstructSpec("bipartite_uniform_isoarithmetic", sizes=3))
+    # every kind refuses each field its KINDS row does not read, rather
+    # than dropping it; the needed fields are set so only that one is wrong
+    needed = {"sizes": (3, 4), "ratio": 2, "edge_size": 7}
+    for kind, (_, needs, takes) in construct_module.KINDS.items():
+        base = {name: needed[name] for name in needs}
+        unread = [name for name in needed if name not in needs + takes]
+        for name in unread:
+            with pytest.raises(ValueError, match=f"^{kind} does not read {name}$"):
+                construct(g, ConstructSpec(kind, **base, **{name: needed[name]}))
 
 
 # --- exhaustive search ------------------------------------------------------------------
@@ -467,7 +480,7 @@ def test_search_bound_rejects_windows_outside_the_class():
     # size-2 labels used to come back as witnesses that classify rejects
     with pytest.raises(ValueError):
         search_identical_biarithmetic(path(3), SearchBound(max_element=20, sizes=(2,), ratios=(2,)))
-    for bad in [dict(sizes=()), dict(sizes=(3, 1)), dict(ratios=(1, 2)), dict(max_vertices=0)]:
+    for bad in [dict(sizes=()), dict(sizes=(3, 1)), dict(ratios=(1, 2))]:
         with pytest.raises(ValueError):
             SearchBound(**bad)
 
@@ -483,7 +496,6 @@ def test_search_bound_rejects_non_integer_fields():
     # a float or string used to pass here and fail mid-search with TypeError
     bad = [
         dict(max_element=20.5), dict(max_element="7"), dict(max_element=True),
-        dict(max_vertices=True), dict(max_vertices=8.0),
         dict(sizes=(3.5,)), dict(sizes=(3, True)), dict(sizes=3), dict(sizes="34"),
         dict(ratios=(2.0,)), dict(ratios=(False, 2)),
     ]

@@ -1107,8 +1107,9 @@ def construct_cases(draw):
         kind,
         diff=draw(st.integers(1, 4)),
         sizes=draw(sizes),
-        ratio=draw(st.integers(2, 4)),
-        edge_size=draw(st.integers(5, 9)),
+        # only the fields the kind reads: the dispatcher refuses the rest
+        ratio=draw(st.integers(2, 4)) if kind in ("biarithmetic", "identical_biarithmetic") else None,
+        edge_size=draw(st.integers(5, 9)) if kind == "componentwise_uniform" else None,
         seed=draw(st.integers(-2000, 5000)),
     )
 
