@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a named graph as an edge list")
     p.add_argument("--kind", required=True, choices=sorted(_KINDS))
-    p.add_argument("--n", type=int, help="order (or y side for complete_bipartite)")
+    p.add_argument("--n", type=int, help="order; leaf count for star; y side for complete_bipartite")
     p.add_argument("--m", type=int, help="x side for complete_bipartite")
     p.add_argument("--format", default="edgelist", choices=["edgelist", "dot"])
     p.add_argument("--out")

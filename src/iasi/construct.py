@@ -19,9 +19,11 @@ an IASI), and the search's witness must also carry the searched ratio
 on every edge; anything else raises ConstructionError.
 
 ``_resolve_sizes`` is the one reader of a size argument; a pair means
-one size per side only for the kinds with sides.  ``construct`` reads a
-ConstructSpec through KINDS, whose rows name the fields each kind needs
-and may take; any other field set raises ValueError, never dropped.
+one size per side only for the kinds with sides.  Each kind computes
+its difference and size maps once and goes straight to ``_assign``; no
+constructor calls another.  ``construct`` reads a ConstructSpec through
+KINDS, whose rows name the fields each kind needs and may take; any
+other field set raises ValueError, never dropped.
 
 The exhaustive search keys labels by (first, diff, size) and edges by
 (a + b, d, m + k*(n - 1)), the sumset of (a, d, m) and (b, k*d, n) when
@@ -103,6 +105,15 @@ def _resolve_sizes(
     return out
 
 
+def _check_params(diff: int, ratio: int = 2) -> None:
+    """Every kind's rule diff >= 1 and, for the kinds with a ratio, ratio >= 2; types first."""
+    _require_ints(ratio=ratio, diff=diff)
+    if ratio < 2:
+        raise ValueError("ratio must be at least 2")
+    if diff < 1:
+        raise ValueError("difference must be positive")
+
+
 def _certify(g: Graph, lab: Labeling, ratio: Optional[int] = None) -> Labeling:
     """Return lab if ``classify`` calls it arithmetic on g.
 
@@ -154,25 +165,31 @@ def construct_isoarithmetic(
     seed: int = 0,
 ) -> Labeling:
     """Every vertex gets the same difference; sizes may vary per vertex."""
-    _require_ints(diff=diff)
-    if diff < 1:
-        raise ValueError("difference must be positive")
+    _check_params(diff)
     size_map = _resolve_sizes(g, sizes)
     return _assign(g, {v: diff for v in g.vertices}, size_map, seed)
 
 
 def construct_bipartite_uniform_isoarithmetic(
-    g: Graph, m: int, n: int, diff: int = 1, seed: int = 0
+    g: Graph, sizes: tuple[int, int], diff: int = 1, seed: int = 0
 ) -> Labeling:
-    """Size m on side x, size n on side y, one shared difference.
+    """Size m on side x, size n on side y, sizes=(m, n), one shared difference.
 
     Every edge then has cardinality m + n - 1.
     """
-    sizes = _resolve_sizes(g, (m, n), _sides(g))
-    return construct_isoarithmetic(g, diff=diff, sizes=sizes, seed=seed)
+    if not (isinstance(sizes, (tuple, list)) and len(sizes) == 2):
+        raise ValueError("bipartite_uniform_isoarithmetic takes sizes (m, n)")
+    size_map = _resolve_sizes(g, tuple(sizes), _sides(g))
+    _check_params(diff)
+    return _assign(g, {v: diff for v in g.vertices}, size_map, seed)
 
 
 # --- proper-ratio families ---------------------------------------------
+
+
+def _side_diffs(g: Graph, bip: Bipartition, diff: int, ratio: int) -> dict[int, int]:
+    """Difference diff on side x and ratio * diff on side y."""
+    return {v: (diff if v in bip.side_x else ratio * diff) for v in g.vertices}
 
 
 def construct_identical_biarithmetic(
@@ -187,11 +204,7 @@ def construct_identical_biarithmetic(
     Needs a bipartite graph, ratio >= 2, and every x-side size >= ratio
     (the x side holds the smaller index on each edge).
     """
-    _require_ints(ratio=ratio, diff=diff)
-    if ratio < 2:
-        raise ValueError("ratio must be at least 2")
-    if diff < 1:
-        raise ValueError("difference must be positive")
+    _check_params(diff, ratio)
     bip = _sides(g)
     size_map = _resolve_sizes(g, sizes, bip)
     low = min((size_map[v] for v in bip.side_x), default=None)
@@ -199,8 +212,7 @@ def construct_identical_biarithmetic(
         raise RatioBoundError(
             f"ratio {ratio} exceeds the smallest x-side label size {low}"
         )
-    diffs = {v: (diff if v in bip.side_x else ratio * diff) for v in g.vertices}
-    return _assign(g, diffs, size_map, seed)
+    return _assign(g, _side_diffs(g, bip, diff, ratio), size_map, seed)
 
 
 def construct_strong_biarithmetic(
@@ -219,10 +231,9 @@ def construct_strong_biarithmetic(
     x_sizes = {size_map[v] for v in bip.side_x}
     if len(x_sizes) > 1:
         raise ValueError(f"x-side sizes must all be equal, got {sorted(x_sizes)}")
+    _check_params(diff)
     ratio = x_sizes.pop() if x_sizes else 3
-    return construct_identical_biarithmetic(
-        g, ratio=ratio, diff=diff, sizes=size_map, seed=seed
-    )
+    return _assign(g, _side_diffs(g, bip, diff, ratio), size_map, seed)
 
 
 def _greedy_levels(g: Graph) -> dict[int, int]:
@@ -259,11 +270,7 @@ def construct_biarithmetic(
     w - 1 steps apart: the label with the smallest difference needs at
     least 2^(w - 1) elements.  Sizes are not capped.
     """
-    _require_ints(ratio=ratio, diff=diff)
-    if ratio < 2:
-        raise ValueError("ratio must be at least 2")
-    if diff < 1:
-        raise ValueError("difference must be positive")
+    _check_params(diff, ratio)
     level = _greedy_levels(g)
     required = {v: 3 for v in g.vertices}
     for u, v in g.edges:
@@ -300,9 +307,8 @@ def construct_componentwise_uniform(
     edge_size odd so one size l = (edge_size + 1) / 2 can serve
     everywhere.  Sizes below 3 make the request infeasible.
     """
-    _require_ints(edge_size=edge_size, diff=diff)
-    if diff < 1:
-        raise ValueError("difference must be positive")
+    _require_ints(edge_size=edge_size)
+    _check_params(diff)
     r = edge_size
     if r < 5:
         raise InfeasibleError(f"edge size {r} needs label sizes below 3")
@@ -346,15 +352,6 @@ def _uniform_isoarithmetic(g: Graph, sizes: int, diff: int, seed: int) -> Labeli
     return construct_isoarithmetic(g, diff=diff, sizes=sizes, seed=seed)
 
 
-def _bipartite_uniform_isoarithmetic(
-    g: Graph, sizes: tuple[int, int], diff: int, seed: int
-) -> Labeling:
-    if not (isinstance(sizes, (tuple, list)) and len(sizes) == 2):
-        raise ValueError("bipartite_uniform_isoarithmetic takes sizes (m, n)")
-    m, n = sizes
-    return construct_bipartite_uniform_isoarithmetic(g, m, n, diff=diff, seed=seed)
-
-
 # every construction kind, in the order ``iasi label --kind`` lists
 # them: its builder, the ConstructSpec fields it needs and the ones it
 # may take.  Every builder also takes diff and seed; a field left None
@@ -362,7 +359,7 @@ def _bipartite_uniform_isoarithmetic(
 KINDS: dict[str, tuple[Callable[..., Labeling], tuple[str, ...], tuple[str, ...]]] = {
     "isoarithmetic": (construct_isoarithmetic, (), ("sizes",)),
     "uniform_isoarithmetic": (_uniform_isoarithmetic, ("sizes",), ()),
-    "bipartite_uniform_isoarithmetic": (_bipartite_uniform_isoarithmetic, ("sizes",), ()),
+    "bipartite_uniform_isoarithmetic": (construct_bipartite_uniform_isoarithmetic, ("sizes",), ()),
     "biarithmetic": (construct_biarithmetic, (), ("ratio", "sizes")),
     "identical_biarithmetic": (construct_identical_biarithmetic, ("ratio",), ("sizes",)),
     "strong_biarithmetic": (construct_strong_biarithmetic, (), ("sizes",)),

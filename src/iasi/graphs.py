@@ -183,24 +183,28 @@ def star(leaves: int) -> Graph:
     return graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
+# each kind's generator and the sizes it reads, in its argument order
 _KINDS = {
-    "path": lambda n=None, m=None: path(n),
-    "cycle": lambda n=None, m=None: cycle(n),
-    "complete": lambda n=None, m=None: complete(n),
-    "complete_bipartite": lambda n=None, m=None: complete_bipartite(m, n),
-    "star": lambda n=None, m=None: star(n),
+    "path": (path, ("n",)),
+    "cycle": (cycle, ("n",)),
+    "complete": (complete, ("n",)),
+    "complete_bipartite": (complete_bipartite, ("m", "n")),
+    "star": (star, ("n",)),
 }
 
 
 def generate(kind: str, n: int | None = None, m: int | None = None) -> Graph:
-    """Dispatch on a kind name; complete_bipartite takes sides m and n."""
+    """Dispatch on a kind name; complete_bipartite takes sides m and n, the rest n alone."""
     if kind not in _KINDS:
         raise ValueError(f"unknown graph kind {kind!r} (choose from {sorted(_KINDS)})")
+    build, reads = _KINDS[kind]
     if n is None:
         raise ValueError(f"kind {kind!r} needs --n")
-    if kind == "complete_bipartite" and m is None:
-        raise ValueError("complete_bipartite needs --m and --n")
-    return _KINDS[kind](n=n, m=m)
+    if m is None and "m" in reads:
+        raise ValueError(f"{kind} needs --m and --n")
+    if m is not None and "m" not in reads:
+        raise ValueError(f"kind {kind!r} does not read --m")
+    return build(*map({"m": m, "n": n}.get, reads))
 
 
 # --- combination and restriction ---------------------------------------

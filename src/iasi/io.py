@@ -8,6 +8,7 @@ number rather than a silent renumbering.
 
 from __future__ import annotations
 
+import dataclasses
 from collections.abc import Iterable, Mapping
 from typing import Optional
 
@@ -163,16 +164,9 @@ def _prints_alike(a: object, b: object) -> bool:
 def serialize_report(rep: VerificationReport, fmt: str = "text") -> str:
     if fmt == "structured":
         lines = [
-            f"is_iasi={_fmt(rep.is_iasi)}",
-            f"vertex_arithmetic={_fmt(rep.vertex_arithmetic)}",
-            f"edge_arithmetic={_fmt(rep.edge_arithmetic)}",
-            f"arithmetic={_fmt(rep.arithmetic)}",
-            f"isoarithmetic={_fmt(rep.isoarithmetic)}",
-            f"biarithmetic={_fmt(rep.biarithmetic)}",
-            f"identical_biarithmetic={_fmt(rep.identical_biarithmetic)}",
-            f"strong={_fmt(rep.strong)}",
-            f"edge_uniform={_fmt(rep.edge_uniform)}",
-            f"vertex_uniform={_fmt(rep.vertex_uniform)}",
+            f"{f.name}={_fmt(getattr(rep, f.name))}"
+            for f in dataclasses.fields(rep)
+            if f.name not in ("violations", "warnings")
         ]
         lines += [f"violation={v.element}|{v.rule}|{v.detail}" for v in rep.violations]
         lines += [f"warning={w}" for w in rep.warnings]

@@ -97,7 +97,7 @@ def test_criterion_04_uniform_edge_cardinalities():
     for m in range(3, 7):
         for n in range(3, 7):
             for g in (complete_bipartite(2, 3), cycle(6)):
-                lab = construct_bipartite_uniform_isoarithmetic(g, m, n, diff=1)
+                lab = construct_bipartite_uniform_isoarithmetic(g, sizes=(m, n), diff=1)
                 assert classify(g, lab).edge_uniform == m + n - 1
     g = disjoint_union(cycle(5), complete_bipartite(2, 3))
     lab = construct_componentwise_uniform(g, edge_size=7)

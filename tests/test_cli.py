@@ -67,6 +67,11 @@ def test_gen_missing_order_is_usage_error(run):
     assert code == 2 and "needs --n" in err
 
 
+def test_gen_m_for_a_kind_without_sides_is_usage_error(run):
+    code, out, err = run("gen", "--kind", "path", "--n", "3", "--m", "7")
+    assert (code, out, err) == (2, "", "error: kind 'path' does not read --m\n")
+
+
 def test_gen_dot_format(run):
     code, out, _ = run("gen", "--kind", "path", "--n", "2", "--format", "dot")
     assert code == 0 and out.startswith("graph G {")

@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import inspect
 import random
+from collections import Counter
 
 import pytest
 
@@ -105,17 +107,41 @@ def test_uniform_isoarithmetic_edge_sizes():
 
 def test_bipartite_uniform_isoarithmetic():
     g = complete_bipartite(2, 3)
-    lab = construct_bipartite_uniform_isoarithmetic(g, 3, 5, diff=2)
+    lab = construct_bipartite_uniform_isoarithmetic(g, sizes=(3, 5), diff=2)
     rep = classify(g, lab)
     assert rep.isoarithmetic
     assert rep.edge_uniform == 7 and rep.vertex_uniform is None
     sizes = sorted(len(lab.label(v)) for v in g.vertices)
     assert sizes == [3, 3, 5, 5, 5]
+    assert construct_bipartite_uniform_isoarithmetic(g, sizes=[3, 5], diff=2) == lab
+    for sizes in (3, (3, 4, 5), {0: 3, 1: 3, 2: 4, 3: 4, 4: 4}):
+        with pytest.raises(ValueError, match=r"^bipartite_uniform_isoarithmetic takes sizes \(m, n\)$"):
+            construct_bipartite_uniform_isoarithmetic(g, sizes=sizes)
 
 
 def test_bipartite_uniform_rejects_odd_cycle():
     with pytest.raises(NotBipartiteError):
-        construct_bipartite_uniform_isoarithmetic(cycle(5), 3, 4)
+        construct_bipartite_uniform_isoarithmetic(cycle(5), sizes=(3, 4))
+
+
+def test_side_kinds_bipartition_and_resolve_sizes_once(monkeypatch):
+    calls: Counter[str] = Counter()
+    for name in ("bipartition", "_resolve_sizes"):
+        original = getattr(construct_module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(construct_module, name, counted)
+    builds = [
+        lambda: construct_strong_biarithmetic(star(2000), sizes=(4, 3)),
+        lambda: construct(cycle(2000), ConstructSpec("bipartite_uniform_isoarithmetic", sizes=(3, 4))),
+    ]
+    for build in builds:
+        calls.clear()
+        build()
+        assert calls == {"bipartition": 1, "_resolve_sizes": 1}
 
 
 # --- single-ratio constructors ------------------------------------------------
@@ -382,6 +408,14 @@ def test_construct_dispatcher_rejects_bad_specs():
         for name in unread:
             with pytest.raises(ValueError, match=f"^{kind} does not read {name}$"):
                 construct(g, ConstructSpec(kind, **base, **{name: needed[name]}))
+    # each row matches its builder: the parameters besides g, diff and
+    # seed are exactly the row's needs, with no default, and takes, with one
+    for kind, (build, needs, takes) in construct_module.KINDS.items():
+        params = inspect.signature(build).parameters
+        rest = {name: p.default for name, p in params.items() if name not in ("g", "diff", "seed")}
+        assert sorted(rest) == sorted(needs + takes), kind
+        assert all(rest[name] is inspect.Parameter.empty for name in needs), kind
+        assert all(rest[name] is not inspect.Parameter.empty for name in takes), kind
 
 
 # --- exhaustive search ------------------------------------------------------------------

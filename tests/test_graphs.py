@@ -90,8 +90,14 @@ def test_generate_dispatch():
     assert generate("complete_bipartite", n=3, m=2).edges == complete_bipartite(2, 3).edges
     with pytest.raises(ValueError):
         generate("torus", n=3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^complete_bipartite needs --m and --n$"):
         generate("complete_bipartite", n=3)
+    with pytest.raises(ValueError, match="^kind 'path' needs --n$"):
+        generate("path", m=9)
+    # only complete_bipartite reads m; the other kinds refuse it rather than drop it
+    for kind in ("path", "cycle", "complete", "star"):
+        with pytest.raises(ValueError, match=f"^kind '{kind}' does not read --m$"):
+            generate(kind, n=4, m=9)
 
 
 # --- components ----------------------------------------------------------------

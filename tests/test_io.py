@@ -6,6 +6,7 @@ asserts the reported line number.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from itertools import product
 
@@ -164,6 +165,15 @@ def test_report_lists_violations():
     assert any(l.startswith("violation=e0-1,e1-2|edge-label-collision|") for l in text.splitlines())
     with pytest.raises(ValueError):
         serialize_report(rep, fmt="json")
+
+
+def test_structured_report_keys_are_the_report_fields_in_order():
+    colliding = Labeling({0: (0, 1, 3), 1: (0, 1, 2, 3), 2: (0, 2, 3)})
+    for rep in (fixture_report(), classify(path(3), colliding)):
+        keys = [line.split("=", 1)[0] for line in serialize_report(rep, fmt="structured").splitlines()]
+        flags = [f.name for f in dataclasses.fields(rep) if f.name not in ("violations", "warnings")]
+        assert len(flags) == 10
+        assert keys == flags + ["violation"] * len(rep.violations) + ["warning"] * len(rep.warnings)
 
 
 # --- profiles ---------------------------------------------------------------------

@@ -220,7 +220,7 @@ def test_uniform_vertex_sizes_give_uniform_edges():
 
 def test_uniform_bipartite_mixed_sizes():
     g = complete_bipartite(2, 3)
-    rep = classify(g, construct_bipartite_uniform_isoarithmetic(g, 3, 4, diff=1))
+    rep = classify(g, construct_bipartite_uniform_isoarithmetic(g, sizes=(3, 4), diff=1))
     assert rep.edge_uniform == 6 and rep.vertex_uniform is None
 
 
