@@ -58,16 +58,10 @@ class Graph:
     def edge_list(self) -> list[Edge]:
         return sorted(self.edges)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         if not 0 <= v < self.vertex_count:
             raise ValueError(f"vertex {v} out of range")
         return self._adjacency[v]
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
 
     def isolated_vertices(self) -> tuple[int, ...]:
         return tuple(v for v in self.vertices if not self._adjacency[v])
@@ -122,13 +116,6 @@ def components(g: Graph) -> list[tuple[int, ...]]:
 class Bipartition:
     side_x: frozenset[int]
     side_y: frozenset[int]
-
-    def side_of(self, v: int) -> str:
-        if v in self.side_x:
-            return "x"
-        if v in self.side_y:
-            return "y"
-        raise ValueError(f"vertex {v} not in bipartition")
 
 
 def bipartition(g: Graph) -> Optional[Bipartition]:
@@ -195,7 +182,7 @@ _KINDS = {
 
 def generate(kind: str, n: int | None = None, m: int | None = None) -> Graph:
     """Dispatch on a kind name; complete_bipartite takes sides m and n, the rest n alone."""
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ValueError(f"unknown graph kind {kind!r} (choose from {sorted(_KINDS)})")
     build, reads = _KINDS[kind]
     if n is None:

@@ -1,24 +1,29 @@
 """The public surface: every name the package re-exports has a user.
 
-A name counts as used when code outside the package's ``__init__.py``
-reads it: a name or attribute load in ``src/iasi/``, ``demos/`` or
-``bench/``, or one of the function names that ``bench/spans.py`` traces
-through its ``TARGETS`` table.  Definitions, imports, docstrings and
-comments do not count, and tests are not users.  A name used only by
-tests goes, unless it is listed in ``KEPT`` as an ordinary graph
-operation kept on purpose.
+The surface is every re-exported name, and every public method and
+property of a re-exported class.  A name counts as used when code
+outside the package's ``__init__.py`` reads it: a name or attribute
+load in ``src/iasi/``, ``demos/`` or ``bench/``, or one of the function
+names that ``bench/spans.py`` traces through its ``TARGETS`` table.
+Definitions, imports, docstrings and comments do not count, and tests
+are not users.  A name used only by tests goes, unless it is listed in
+``KEPT`` as an ordinary graph or labeling operation kept on purpose.
 """
 
 from __future__ import annotations
 
 import ast
+import inspect
 from pathlib import Path
+
+import iasi
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "iasi"
 
-# used only by tests, and kept as ordinary graph operations
-KEPT = {"disjoint_union", "induced_subgraph"}
+# used only by tests, and kept as ordinary graph and labeling operations;
+# Labeling.restrict is the labeling half of induced_subgraph
+KEPT = {"disjoint_union", "induced_subgraph", "restrict"}
 
 
 def _exported() -> set[str]:
@@ -29,6 +34,21 @@ def _exported() -> set[str]:
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
+
+
+def _members(names: set[str]) -> set[str]:
+    """Public methods and properties of the classes among ``names``."""
+    members = set()
+    for name in names:
+        cls = getattr(iasi, name)
+        if inspect.isclass(cls):
+            members |= {
+                attr
+                for attr, value in vars(cls).items()
+                if not attr.startswith("_")
+                and (inspect.isfunction(value) or isinstance(value, (property, classmethod, staticmethod)))
+            }
+    return members
 
 
 def _loaded(tree: ast.AST) -> set[str]:
@@ -65,5 +85,7 @@ def test_every_export_has_a_user_outside_the_tests():
     probe = ast.parse('"""uses f"""\ndef f(): pass\nimport g\nx = 1\nh()\ny.z\n')
     assert _loaded(probe) == {"h", "y", "z"}
     exported = _exported()
-    assert KEPT <= exported
-    assert sorted(exported - KEPT - _used()) == []
+    public = exported | _members(exported)
+    assert {"neighbors", "vertices", "min"} <= public
+    assert KEPT <= public
+    assert sorted(public - KEPT - _used()) == []

@@ -319,6 +319,14 @@ def test_verify_labeling_missing_a_vertex_exits_two(run, tmp_path):
     assert code == 2 and err.startswith("error:") and "vertex 2" in err
 
 
+def test_verify_labeling_with_a_vertex_outside_the_graph_exits_two(run, tmp_path):
+    gpath = write_graph(tmp_path, path(2))
+    lpath = tmp_path / "lab.txt"
+    lpath.write_text("0: 0 1 2\n1: 0 2 4\n5: 0 1 2\n")
+    code, out, err = run("verify", "--graph", gpath, "--labeling", str(lpath))
+    assert code == 2 and out == "" and err.startswith("error:") and "vertex 5" in err
+
+
 def test_verify_structured_format(run, tmp_path):
     gpath = write_graph(tmp_path, path(2))
     lpath = tmp_path / "lab.txt"

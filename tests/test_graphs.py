@@ -49,7 +49,7 @@ def has_odd_closed_walk(g) -> bool:
 def test_edges_normalize_and_validate():
     g = graph(4, [(3, 0), (1, 2)])
     assert g.edge_list() == [(0, 3), (1, 2)]
-    assert g.has_edge(0, 3) and g.has_edge(3, 0)
+    assert 3 in g.neighbors(0) and 0 in g.neighbors(3)
     with pytest.raises(ValueError):
         graph(3, [(0, 0)])
     with pytest.raises(ValueError):
@@ -65,7 +65,7 @@ def test_edges_normalize_and_validate():
 def test_neighbors_and_degrees():
     g = star(3)
     assert g.neighbors(0) == (1, 2, 3)
-    assert g.degree(0) == 3 and g.degree(2) == 1
+    assert g.neighbors(2) == (0,)
     assert g.isolated_vertices() == ()
     assert graph(3, [(0, 1)]).isolated_vertices() == (2,)
 
@@ -90,6 +90,9 @@ def test_generate_dispatch():
     assert generate("complete_bipartite", n=3, m=2).edges == complete_bipartite(2, 3).edges
     with pytest.raises(ValueError):
         generate("torus", n=3)
+    for kind in (["path"], None, 3):
+        with pytest.raises(ValueError, match="^unknown graph kind"):
+            generate(kind, n=3)
     with pytest.raises(ValueError, match="^complete_bipartite needs --m and --n$"):
         generate("complete_bipartite", n=3)
     with pytest.raises(ValueError, match="^kind 'path' needs --n$"):
@@ -150,8 +153,9 @@ def test_bipartition_separates_every_edge():
         b = bipartition(g)
         if b is None:
             continue
+        assert b.side_x | b.side_y == set(g.vertices) and not b.side_x & b.side_y
         for u, v in g.edges:
-            assert b.side_of(u) != b.side_of(v)
+            assert (u in b.side_x) != (v in b.side_x)
 
 
 # --- restriction -------------------------------------------------------------------

@@ -9,8 +9,12 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+import pytest
+
 from iasi import (
     Labeling,
+    MissingLabelError,
+    Violation,
     ap_set,
     bipartition,
     classify,
@@ -95,6 +99,26 @@ def test_arithmetic_rejects_oversized_ratio():
     rep = classify(path(2), lab)
     assert not rep.arithmetic
     assert rep.violations[0].rule == "ratio-exceeds-size"
+
+
+def test_ratio_violations_are_reported_only_for_an_iasi():
+    # edge 0-1 has ratio 5 above size 3, but the labeling repeats a vertex
+    # and an edge label, so only the two collisions are reported
+    lab = Labeling({0: ap_set(0, 1, 3), 1: ap_set(0, 5, 3), 2: ap_set(0, 1, 3)})
+    rep = classify(path(3), lab)
+    assert not rep.is_iasi and rep.vertex_arithmetic and not rep.arithmetic
+    assert rep.violations == (
+        Violation(
+            element="e0-1,e1-2",
+            rule="edge-label-collision",
+            detail="edges 0-1 and 1-2 share label {0,1,2,5,6,7,10,11,12}",
+        ),
+        Violation(
+            element="v0,v2",
+            rule="vertex-label-collision",
+            detail="vertices 0 and 2 share label {0,1,2}",
+        ),
+    )
 
 
 def test_arithmetic_requires_progressions_of_three():
@@ -280,6 +304,15 @@ def test_classify_warns_on_isolated_vertices():
     rep = classify(g, lab)
     assert rep.is_iasi
     assert any("isolated" in w for w in rep.warnings)
+
+
+def test_classify_rejects_labels_on_vertices_outside_the_graph():
+    # vertex 5 even repeats vertex 0's label; a gap is still reported first
+    lab = Labeling({0: (0, 1, 2), 1: (0, 2, 4), 5: (0, 1, 2)})
+    with pytest.raises(ValueError, match="^vertex 5 has a label but the graph has 2 vertices$"):
+        classify(path(2), lab)
+    with pytest.raises(MissingLabelError, match="^vertex 2 has no label$"):
+        classify(path(3), lab)
 
 
 # --- heredity ----------------------------------------------------------------------------
