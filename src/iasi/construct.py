@@ -30,13 +30,16 @@ The exhaustive search keys labels by (first, diff, size) and edges by
 k <= m; only the witness is built as sets.  It places twins, vertices
 with the same neighbours, in ascending order, so it sweeps each labeling
 once rather than once per order of the twins, and the witness it
-returns is still the least one in its window.
+returns is still the least one in its window.  It also skips every
+difference map that puts more vertices on one difference than the
+window has labels of that difference.
 
 All constructors are pure functions of (graph, parameters, seed).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from math import isqrt
@@ -456,6 +459,15 @@ def search_identical_biarithmetic(g: Graph, bound: SearchBound = SearchBound()) 
     swapped fill would come earlier.  Labels are injective, so twins
     with equal differences never tie.  So the least witness obeys every
     twin rule and is never pruned.
+
+    A difference map that puts more vertices on some difference d than
+    the window has labels of difference d is skipped, partial maps
+    included.  Proof sketch that this drops no witness: a label of
+    difference d is fixed by its (size, first) pair, and the window
+    holds room(d) = sum over sizes of max(0, max_element - (size - 1)*d
+    + 1) such pairs.  Labels are injective, so the vertices on d need
+    distinct pairs, and by pigeonhole a map with more than room(d) of
+    them has no fill; nor has any extension of a partial one.
     """
     if g.vertex_count > MAX_SEARCH_VERTICES:
         raise SizeLimitError(
@@ -464,7 +476,6 @@ def search_identical_biarithmetic(g: Graph, bound: SearchBound = SearchBound()) 
         )
     if not g.edges:
         raise InfeasibleError("a graph without edges has no edge ratio to share")
-    max_diff = bound.max_element // (min(bound.sizes) - 1)
     order = [v for comp in _traverse(g)[0] for v in comp.order]
     twin: dict[int, int] = {}  # vertex -> the last earlier vertex in order with its neighbours
     last: dict[tuple[int, ...], int] = {}
@@ -475,7 +486,7 @@ def search_identical_biarithmetic(g: Graph, bound: SearchBound = SearchBound()) 
         last[nbrs] = v
 
     for ratio in bound.ratios:
-        for diffs in _diff_assignments(g, order, twin, ratio, max_diff):
+        for diffs in _diff_assignments(g, order, twin, ratio, bound):
             witness = _fill_labels(g, order, twin, diffs, ratio, bound)
             if witness is not None:
                 return _certify(g, witness, ratio)
@@ -483,12 +494,19 @@ def search_identical_biarithmetic(g: Graph, bound: SearchBound = SearchBound()) 
 
 
 def _diff_assignments(
-    g: Graph, order: list[int], twin: dict[int, int], ratio: int, max_diff: int
+    g: Graph, order: list[int], twin: dict[int, int], ratio: int, bound: SearchBound
 ) -> Iterable[dict[int, int]]:
-    """All difference maps where every edge scales by exactly ratio.
+    """All difference maps where every edge scales by exactly ratio and
+    no difference holds more vertices than the window has labels for.
 
     A vertex with an earlier twin takes no difference below the twin's.
+    The window has room(d) labels of difference d, one per (size, first)
+    pair that ``_fill_labels`` walks; room is computed when d is first
+    tried, never tabulated over every difference up to max_diff.
     """
+    max_diff = bound.max_element // (min(bound.sizes) - 1)
+    room: dict[int, int] = {}
+    crowd: Counter[int] = Counter()  # difference -> vertices of the partial map on it
 
     def extend(i: int, diffs: dict[int, int]) -> Iterable[dict[int, int]]:
         if i == len(order):
@@ -510,8 +528,14 @@ def _diff_assignments(
                 opts = keep
             candidates = sorted(d for d in opts if low <= d <= max_diff)
         for d in candidates:
+            if d not in room:
+                room[d] = sum(max(0, bound.max_element - (size - 1) * d + 1) for size in bound.sizes)
+            if crowd[d] == room[d]:
+                continue
             diffs[v] = d
+            crowd[d] += 1
             yield from extend(i + 1, diffs)
+            crowd[d] -= 1
             del diffs[v]
 
     yield from extend(0, {})

@@ -10,6 +10,7 @@ import argparse
 import importlib
 import inspect
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -469,6 +470,40 @@ def test_search_exhausts_pinned_complete_bipartite_windows():
     for top, sizes in [(13, (4,)), (14, (4, 5))]:
         bound = SearchBound(max_element=top, sizes=sizes, ratios=(4,))
         assert search_identical_biarithmetic(g, bound) is None
+
+
+def test_room_prune_skips_the_fill_on_crowded_windows(monkeypatch):
+    # every difference map of K4,4 at ratio 4 puts one side on d = 4, where
+    # the window holds two labels at largest element 13 (size 4, first 0
+    # or 1) and three at 14 (size 4, first 0 to 2; size 5 does not fit),
+    # so no map reaches the fill; at 18 the witness still comes
+    calls = Counter()
+    fill = construct_module._fill_labels
+
+    def counted(*args):
+        calls["fill"] += 1
+        return fill(*args)
+
+    monkeypatch.setattr(construct_module, "_fill_labels", counted)
+    g = complete_bipartite(4, 4)
+    for top, sizes in [(13, (4,)), (14, (4, 5))]:
+        calls.clear()
+        assert search_identical_biarithmetic(g, SearchBound(max_element=top, sizes=sizes, ratios=(4,))) is None
+        assert calls["fill"] == 0, (top, sizes)
+    calls.clear()
+    witness = search_identical_biarithmetic(g, SearchBound(max_element=18, sizes=(4,), ratios=(4,)))
+    assert serialize_labeling(witness) == K44_WITNESS
+    assert calls["fill"] >= 1
+
+
+def test_search_huge_window_stays_cheap():
+    # max_diff is 5 * 10**8 here, so room must never be tabulated per difference
+    bound = SearchBound(max_element=10**9)
+    for g in [path(2), cycle(4), complete_bipartite(3, 3)]:
+        start = time.perf_counter()
+        witness = search_identical_biarithmetic(g, bound)
+        assert time.perf_counter() - start < 1.0
+        assert witness is not None and classify(g, witness).identical_biarithmetic in (2, 3)
 
 
 def test_search_finds_witnesses_on_even_structures():

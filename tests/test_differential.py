@@ -46,6 +46,10 @@ an ``IntSet`` and compared full sumsets, over every difference map with
 twins in any order.  On every window over a graph with edges the search
 must return the same witness, None or exception, also on graphs drawn
 to have many twins, and in every witness twins come in ascending order.
+The search also skips every difference map that puts more vertices on
+one difference than the window has labels for; the oracle has no such
+prune, and small windows on complete bipartite and cloned graphs, where
+the prune binds often, must agree too.
 """
 
 from __future__ import annotations
@@ -1051,6 +1055,28 @@ def test_search_matches_sumset_search(case):
     for result in (fast, naive):
         if result[0] == "returned" and result[1] is not None:
             assert_twins_ascending(g, result[1])
+
+
+@st.composite
+def crowded_windows(draw):
+    # complete bipartite and cloned graphs put many vertices on one
+    # difference, and a largest element of at most 12 leaves few labels
+    # per difference, so the room prune binds often; the small window
+    # also keeps the oracle, which has no prune, cheap
+    g = draw(st.one_of(complete_bipartite_graphs(), cloned_graphs()).filter(lambda g: g.edges))
+    sizes = tuple(draw(st.lists(st.integers(3, 5), min_size=1, max_size=2)))
+    ratios = tuple(draw(st.lists(st.integers(2, 4), min_size=1, max_size=2)))
+    return g, SearchBound(max_element=draw(st.integers(0, 12)), sizes=sizes, ratios=ratios)
+
+
+@settings(max_examples=300, deadline=None)
+@given(crowded_windows())
+@example((graph(8, [(u, 4 + v) for u in range(4) for v in range(4)]),
+          SearchBound(max_element=12, sizes=(4,), ratios=(4,))))
+def test_search_matches_sumset_search_on_crowded_windows(case):
+    g, bound = case
+    fast, naive = outcome(search_identical_biarithmetic, g, bound), outcome(naive_search, g, bound)
+    assert fast == naive
 
 
 def assert_twins_ascending(g, lab):
