@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 # direct name imports: the package re-exports a construct() function,
 # which shadows the construct submodule as a package attribute
-from .compat import AUDITS, audit, compat_partition
+from .compat import AUDITS, audit_point, compat_partition
 from .construct import (
     KINDS,
     ConstructSpec,
@@ -167,13 +167,14 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     ms = _parse_values(args.m)
     ns = _parse_values(args.n)
     if AUDITS[theorem.upper()][0] == 2:
-        grid = [(m, n) for m in ms for n in ns]
+        grid = ((m, n) for m in ms for n in ns)
     else:
         if args.k is None:
             raise ValueError(f"theorem {theorem} needs --k")
         ks = _parse_values(args.k)
-        grid = [(m, n, k) for m in ms for n in ns for k in ks]
-    records = audit(theorem, grid, diff=args.d)
+        grid = ((m, n, k) for m in ms for n in ns for k in ks)
+    # a stream: each record is rendered as it is made and none is kept
+    records = (audit_point(theorem, point, args.d) for point in grid)
     _emit(serialize_audit(records, fmt=args.format), args.out)
     return 0
 

@@ -88,7 +88,8 @@ def _class_histogram(m: int, n: int, k: int) -> dict[int, int]:
     progressions.  Each polynomial is packed into one integer, w bytes
     per coefficient (Kronecker substitution, z = X = 2^(8w)), and one
     big-int product yields all coefficients.  No coefficient exceeds
-    min(m, n), so w bytes hold it and no carry reaches the next one.
+    min(m, n), so w bytes hold it and no carry reaches the next one, and
+    counting each size from 1 to min(m, n) finds every class.
 
     The packed indicators are geometric series, A(X) = (X^m - 1)/(X - 1)
     and B(X) = (X^(kn) - 1)/(X^k - 1), so each is built by shifts and
@@ -104,14 +105,13 @@ def _class_histogram(m: int, n: int, k: int) -> dict[int, int]:
     w = (min(m, n).bit_length() + 7) // 8
     product = _packed_indicator(m, 1, 8 * w) * _packed_indicator(n, k, 8 * w)
     coeffs = product.to_bytes(w * (m + k * (n - 1)), "little")
-    if w == 1:
-        counts = Counter(coeffs)
-    else:
-        counts = Counter(
+    if w == 1:  # at most 255 sizes, each counted by one scan of the bytes
+        count = coeffs.count
+    else:  # a scan per size would be quadratic here, so tally once
+        count = Counter(
             int.from_bytes(coeffs[i : i + w], "little") for i in range(0, len(coeffs), w)
-        )
-    del counts[0]
-    return dict(sorted(counts.items()))
+        ).__getitem__
+    return {size: c for size in range(1, min(m, n) + 1) if (c := count(size))}
 
 
 @dataclass(frozen=True)

@@ -437,11 +437,10 @@ def search_identical_biarithmetic(g: Graph, bound: SearchBound = SearchBound()) 
 
     Ratios are tried in ascending order.  For each ratio the search
     first enumerates the vertex differences (each edge must scale by
-    exactly that ratio, which prunes odd cycles immediately) and then
-    fills in sizes and first terms in ascending order, checking label
-    injectivity as it goes.  Returns the first witness found, so equal
-    inputs always give the same labeling, or None when the whole window
-    is exhausted.  The witness returns through the shared certify step
+    exactly that ratio) and then fills in sizes and first terms in
+    ascending order, checking label injectivity as it goes.  Returns
+    the first witness found, so equal inputs always give the same
+    labeling, or None when the whole window is exhausted.  The witness returns through the shared certify step
     with the searched ratio, else ConstructionError.  A graph without
     edges has no edge ratio and raises InfeasibleError.
 
@@ -468,6 +467,13 @@ def search_identical_biarithmetic(g: Graph, bound: SearchBound = SearchBound()) 
     + 1) such pairs.  Labels are injective, so the vertices on d need
     distinct pairs, and by pigeonhole a map with more than room(d) of
     them has no fill; nor has any extension of a partial one.
+
+    A graph with a non-bipartite component returns None before any
+    difference map is tried.  Proof sketch: every ratio is at least 2,
+    and an edge whose differences scale by that ratio changes by exactly
+    one the power of the ratio dividing the difference, so that power
+    flips parity along every edge and a cycle of odd length cannot
+    close.  A search that admits ratio 1 must drop this refusal.
     """
     if g.vertex_count > MAX_SEARCH_VERTICES:
         raise SizeLimitError(
@@ -476,7 +482,10 @@ def search_identical_biarithmetic(g: Graph, bound: SearchBound = SearchBound()) 
         )
     if not g.edges:
         raise InfeasibleError("a graph without edges has no edge ratio to share")
-    order = [v for comp in _traverse(g)[0] for v in comp.order]
+    comps = _traverse(g)[0]
+    if not all(comp.bipartite for comp in comps):
+        return None
+    order = [v for comp in comps for v in comp.order]
     twin: dict[int, int] = {}  # vertex -> the last earlier vertex in order with its neighbours
     last: dict[tuple[int, ...], int] = {}
     for v in order:

@@ -9,6 +9,7 @@ number rather than a silent renumbering.
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 from collections.abc import Iterable, Mapping
 from typing import Optional
 
@@ -234,61 +235,66 @@ def _params_str(params: Mapping[str, int]) -> str:
 
 
 def serialize_audit(records: Iterable[AuditRecord], fmt: str = "text") -> str:
-    records = list(records)
-    if fmt == "structured":
-        lines = []
-        for rec in records:
-            parts = [f"theorem={rec.prediction.theorem}", _params_str(rec.prediction.params),
-                     f"verdict={rec.verdict}"]
-            observed = rec.observed
-            for key, want in rec.prediction.expected.items():
-                text = _fmt(want, compact=True)
-                parts.append(f"predicted.{key}={text}")
-                if observed is not None:
-                    if not _prints_alike(observed[key], want):
-                        text = _fmt(observed[key], compact=True)
-                    parts.append(f"observed.{key}={text}")
-            if observed is not None and "histogram" not in rec.prediction.expected:
-                parts.append(f"observed.histogram={_fmt(observed['histogram'], compact=True)}")
-            if rec.verdict == "skipped":
-                parts.append(f'reason="{rec.detail[0]}"')
-            lines.append(" ".join(x for x in parts if x))
-        lines.append(_summary_line(records))
-        return "\n".join(lines) + "\n"
-    if fmt != "text":
+    """One line per record, then a summary line of the verdict counts.
+
+    ``records`` is read once and no record is kept: each is rendered as
+    it arrives and only its verdict is tallied, so a generator of
+    records costs the output text and one record at a time.
+    """
+    if fmt not in ("text", "structured"):
         raise ValueError(f"unknown audit format {fmt!r}")
+    render = _audit_fields if fmt == "structured" else _audit_text
+    tally: Counter[str] = Counter()
     lines = []
     for rec in records:
-        head = f"{rec.prediction.theorem} {_params_str(rec.prediction.params)}"
-        if rec.verdict == "skipped":
-            lines.append(f"{head}: skipped ({rec.detail[0]})")
-            continue
-        fields = ", ".join(
-            f"{key}={_fmt(rec.prediction.expected[key])}" for key in rec.prediction.expected
+        tally[rec.verdict] += 1
+        lines.append(render(rec))
+    total, match = sum(tally.values()), tally["match"]
+    if match == total:
+        lines.append(f"all {total} grid points match")
+    else:
+        lines.append(
+            f"{total} grid points: {match} match, {tally['mismatch']} mismatch, "
+            f"{tally['skipped']} skipped"
         )
-        if rec.verdict == "match":
-            lines.append(f"{head}: match ({fields})")
-        else:
-            observed = ", ".join(
-                f"{key}={_fmt(rec.observed[key])}" for key in rec.prediction.expected
-            )
-            hist = format_histogram(rec.observed["histogram"])
-            lines.append(
-                f"{head}: MISMATCH predicted ({fields}); observed ({observed}); "
-                f"observed histogram={hist}"
-            )
-    lines.append(_summary_line(records))
     return "\n".join(lines) + "\n"
 
 
-def _summary_line(records: list[AuditRecord]) -> str:
-    total = len(records)
-    match = sum(1 for r in records if r.verdict == "match")
-    mismatch = sum(1 for r in records if r.verdict == "mismatch")
-    skipped = sum(1 for r in records if r.verdict == "skipped")
-    if match == total:
-        return f"all {total} grid points match"
-    return f"{total} grid points: {match} match, {mismatch} mismatch, {skipped} skipped"
+def _audit_fields(rec: AuditRecord) -> str:
+    parts = [f"theorem={rec.prediction.theorem}", _params_str(rec.prediction.params),
+             f"verdict={rec.verdict}"]
+    observed = rec.observed
+    for key, want in rec.prediction.expected.items():
+        text = _fmt(want, compact=True)
+        parts.append(f"predicted.{key}={text}")
+        if observed is not None:
+            if not _prints_alike(observed[key], want):
+                text = _fmt(observed[key], compact=True)
+            parts.append(f"observed.{key}={text}")
+    if observed is not None and "histogram" not in rec.prediction.expected:
+        parts.append(f"observed.histogram={_fmt(observed['histogram'], compact=True)}")
+    if rec.verdict == "skipped":
+        parts.append(f'reason="{rec.detail[0]}"')
+    return " ".join(x for x in parts if x)
+
+
+def _audit_text(rec: AuditRecord) -> str:
+    head = f"{rec.prediction.theorem} {_params_str(rec.prediction.params)}"
+    if rec.verdict == "skipped":
+        return f"{head}: skipped ({rec.detail[0]})"
+    fields = ", ".join(
+        f"{key}={_fmt(rec.prediction.expected[key])}" for key in rec.prediction.expected
+    )
+    if rec.verdict == "match":
+        return f"{head}: match ({fields})"
+    observed = ", ".join(
+        f"{key}={_fmt(rec.observed[key])}" for key in rec.prediction.expected
+    )
+    hist = format_histogram(rec.observed["histogram"])
+    return (
+        f"{head}: MISMATCH predicted ({fields}); observed ({observed}); "
+        f"observed histogram={hist}"
+    )
 
 
 # --- DOT export ---------------------------------------------------------------

@@ -17,13 +17,16 @@ import pytest
 from iasi import (
     ConstructionError,
     ConstructSpec,
+    audit,
     cli,
+    complete,
     construct,
     cycle,
     graph,
     parse_graph,
     parse_labeling,
     path,
+    serialize_audit,
     serialize_graph,
     serialize_labeling,
 )
@@ -418,6 +421,27 @@ def test_audit_structured_output(run):
     )
 
 
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_audit_output_equals_the_library_rendering(run, fmt):
+    grid = [(m, n, k) for m in range(3, 9) for n in range(3, 6) for k in range(2, 5)]
+    records = audit("T-NMCC-II", grid, diff=3)
+    assert {rec.verdict for rec in records} == {"match", "mismatch", "skipped"}
+    code, out, _ = run(
+        "audit", "--theorem", "t-nmcc-ii", "--m", "3..8", "--n", "3..5", "--k", "2..4",
+        "--d", "3", "--format", fmt,
+    )
+    assert code == 0 and out == serialize_audit(records, fmt=fmt)
+
+
+def test_audit_bad_difference_writes_no_out_file(run, tmp_path):
+    out = tmp_path / "audit.txt"
+    code, stdout, err = run(
+        "audit", "--theorem", "t-ncc", "--m", "3..6", "--n", "3", "--d", "0", "--out", str(out)
+    )
+    assert code == 2 and stdout == "" and err.startswith("error: ")
+    assert not out.exists()
+
+
 # --- search ----------------------------------------------------------------------
 
 
@@ -433,6 +457,14 @@ def test_search_odd_cycle_reports_reason(run, tmp_path):
     code, out, _ = run("search", "--graph", gpath)
     assert code == 1
     assert "graph not bipartite" in out
+
+
+@pytest.mark.parametrize("g", [cycle(7), complete(4)], ids=["C7", "K4"])
+def test_search_non_bipartite_graphs_report_reason(run, tmp_path, g):
+    gpath = write_graph(tmp_path, g)
+    code, out, _ = run("search", "--graph", gpath)
+    assert code == 1
+    assert out == "no identical biarithmetic IASI found (graph not bipartite)\n"
 
 
 def test_search_exhausted_window_reports_reason(run, tmp_path):

@@ -8,6 +8,7 @@ histograms were computed with the oracle first.
 from __future__ import annotations
 
 import random
+import time
 from collections import Counter
 from itertools import product
 
@@ -182,6 +183,15 @@ def test_audit_point_match():
     assert rec.verdict == "match"
     assert rec.observed["histogram"] == {1: 2, 2: 2, 3: 3}
     assert rec.detail == ()
+
+
+def test_audit_point_stays_linear_when_sizes_need_two_bytes():
+    # min(m, n) >= 256 packs two bytes per class size; one scan of the
+    # coefficients per size would take about 8 * 10**8 steps here
+    start = time.perf_counter()
+    rec = audit_point("T-NCC", (20000, 20000))
+    assert time.perf_counter() - start < 1.0
+    assert rec.verdict == "match" and rec.observed["max_count"] == 1
 
 
 def test_audit_point_mismatch_reports_observed_histogram():

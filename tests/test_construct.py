@@ -519,6 +519,25 @@ def test_search_rejects_odd_cycles():
         assert search_identical_biarithmetic(cycle(n)) is None
 
 
+def test_search_refuses_non_bipartite_graphs_before_any_difference_map(monkeypatch):
+    # walking the difference maps around an odd cycle grows exponentially
+    # with its length; the traversal's bipartite flag refuses it at once
+    calls = Counter()
+    assignments = construct_module._diff_assignments
+
+    def counted(*args):
+        calls["diffs"] += 1
+        return assignments(*args)
+
+    monkeypatch.setattr(construct_module, "_diff_assignments", counted)
+    odd_component = disjoint_union(path(2), cycle(5))
+    for g in [cycle(7), complete(4), odd_component]:
+        assert search_identical_biarithmetic(g, SearchBound(max_element=40)) is None
+        assert calls["diffs"] == 0
+    assert search_identical_biarithmetic(cycle(4)) is not None
+    assert calls["diffs"] >= 1
+
+
 def test_search_witness_respects_bound():
     bound = SearchBound(max_element=20, sizes=(3,), ratios=(3,))
     lab = search_identical_biarithmetic(cycle(4), bound)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import weakref
 from itertools import product
 
 import pytest
@@ -254,6 +255,38 @@ def test_audit_structured_records_repeat_no_key():
                 assert "observed.histogram" in keys, line
                 audited += 1
         assert audited, theorem
+
+
+def _mixed_grid():
+    # T-NMCC-II over this grid has match (q = 0), mismatch (q > 0) and skipped points
+    return ((m, n, k) for m in range(3, 9) for n in range(3, 6) for k in range(2, 5))
+
+
+def test_audit_serializes_a_one_shot_generator_like_a_list():
+    records = audit("T-NMCC-II", _mixed_grid())
+    assert {rec.verdict for rec in records} == {"match", "mismatch", "skipped"}
+    for fmt in ("text", "structured"):
+        stream = (audit_point("T-NMCC-II", p) for p in _mixed_grid())
+        assert serialize_audit(stream, fmt=fmt) == serialize_audit(records, fmt=fmt)
+
+
+def test_audit_serializer_holds_no_record():
+    refs = []
+
+    def stream():
+        for point in _mixed_grid():
+            rec = audit_point("T-NMCC-II", point)
+            refs.append(weakref.ref(rec))
+            if len(refs) > 2:
+                assert refs[-3]() is None, "a record two steps back is still alive"
+            yield rec
+
+    for fmt in ("text", "structured"):
+        refs.clear()
+        assert serialize_audit(stream(), fmt=fmt) == serialize_audit(
+            audit("T-NMCC-II", _mixed_grid()), fmt=fmt
+        )
+        assert len(refs) == 54
 
 
 # --- DOT export -------------------------------------------------------------------------
