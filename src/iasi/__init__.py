@@ -21,7 +21,6 @@ from .compat import (
 )
 from .construct import (
     ConstructionError,
-    ConstructSpec,
     InfeasibleError,
     NotBipartiteError,
     RatioBoundError,

@@ -27,7 +27,6 @@ from typing import Optional, Sequence
 from .compat import AUDITS, audit_point, compat_partition
 from .construct import (
     KINDS,
-    ConstructSpec,
     ConstructionError,
     SearchBound,
     construct,
@@ -109,15 +108,11 @@ def _cmd_label(args: argparse.Namespace) -> int:
     else:
         sizes = None
     g = _load_graph(args.graph)
-    spec = ConstructSpec(
-        kind=args.kind,
-        diff=args.d,
-        sizes=sizes,
-        ratio=args.k,
-        edge_size=args.r,
-        seed=_resolve_seed(args.seed),
+    fields = {"sizes": sizes, "ratio": args.k, "edge_size": args.r}
+    lab = construct(
+        g, args.kind, diff=args.d, seed=_resolve_seed(args.seed),
+        **{name: value for name, value in fields.items() if value is not None},
     )
-    lab = construct(g, spec)
     if args.format == "dot":
         _emit(export_dot(g, lab), args.out)
     else:

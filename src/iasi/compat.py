@@ -155,6 +155,17 @@ def predict_iso(m: int, n: int) -> Prediction:
     )
 
 
+def _check_bi(m: int, n: int, k: int) -> None:
+    """The rules both biarithmetic predictors share: ints, sizes >= 3, 2 <= k <= m."""
+    _require_ints(m=m, n=n, k=k)
+    if n < 3 or m < 3:
+        raise ValueError("label sizes must be at least 3")
+    if k < 2:
+        raise ValueError("ratio must be at least 2")
+    if k > m:
+        raise ValueError("ratio cannot exceed the smaller-index label size")
+
+
 def predict_bi_saturated(m: int, n: int, k: int) -> Prediction:
     """Saturated class counts when the differences differ by factor k.
 
@@ -164,13 +175,7 @@ def predict_bi_saturated(m: int, n: int, k: int) -> Prediction:
     exactly 2k classes.  r = 0 is allowed and predicts no saturated
     class.
     """
-    _require_ints(m=m, n=n, k=k)
-    if n < 3 or m < 3:
-        raise ValueError("label sizes must be at least 3")
-    if k < 2:
-        raise ValueError("ratio must be at least 2")
-    if k > m:
-        raise ValueError("ratio cannot exceed the smaller-index label size")
+    _check_bi(m, n, k)
     r = m - (n - 1) * k
     if r < 0:
         raise ValueError("saturated regime needs m >= (n-1)k")
@@ -194,13 +199,7 @@ def predict_bi_maximal(m: int, n: int, k: int) -> Prediction:
     q = 0 claims (n - p + 1)k maximal classes of p members; q > 0
     claims (n - p - 1)k + q maximal classes of p + 1 members.
     """
-    _require_ints(m=m, n=n, k=k)
-    if n < 3 or m < 3:
-        raise ValueError("label sizes must be at least 3")
-    if k < 2:
-        raise ValueError("ratio must be at least 2")
-    if k > m:
-        raise ValueError("ratio cannot exceed the smaller-index label size")
+    _check_bi(m, n, k)
     p, q = divmod(m, k)
     if p > n - 1:
         raise ValueError("short regime needs m/k at most n-1")
@@ -279,9 +278,7 @@ AUDITS: dict[str, tuple[int, Callable[..., Prediction]]] = {
 def _predict(theorem: str, point: GridPoint) -> Prediction:
     if not isinstance(point, tuple):
         raise ValueError(f"a point is a tuple of integers, got {point!r}")
-    for name, value in zip(_POINT_NAMES, point):
-        if type(value) is not int:  # exact type: bool is an int subclass
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+    _require_ints(**dict(zip(_POINT_NAMES, point)))
     t = theorem.upper() if isinstance(theorem, str) else None
     if t not in AUDITS:
         raise ValueError(f"unknown theorem id {theorem!r}")

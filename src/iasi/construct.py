@@ -21,9 +21,10 @@ on every edge; anything else raises ConstructionError.
 ``_resolve_sizes`` is the one reader of a size argument; a pair means
 one size per side only for the kinds with sides.  Each kind computes
 its difference and size maps once and goes straight to ``_assign``; no
-constructor calls another.  ``construct`` reads a ConstructSpec through
-KINDS, whose rows name the fields each kind needs and may take; any
-other field set raises ValueError, never dropped.
+constructor calls another.  ``construct(g, kind, **params)`` looks the
+kind up in KINDS and reads its builder's signature: a parameter without
+a default must be passed, and one the builder lacks raises ValueError
+rather than being dropped.
 
 The exhaustive search keys labels by (first, diff, size) and edges by
 (a + b, d, m + k*(n - 1)), the sumset of (a, d, m) and (b, k*d, n) when
@@ -39,6 +40,7 @@ All constructors are pure functions of (graph, parameters, seed).
 
 from __future__ import annotations
 
+import inspect
 from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
@@ -337,56 +339,38 @@ def construct_componentwise_uniform(
 # --- one-call dispatcher -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConstructSpec:
-    """Parameters for the construct dispatcher, mirrored by the CLI."""
-
-    kind: str
-    diff: int = 1
-    sizes: int | tuple[int, int] | Sequence[int] | dict[int, int] | None = None
-    ratio: Optional[int] = None
-    edge_size: Optional[int] = None
-    seed: int = 0
-
-
-def _uniform_isoarithmetic(g: Graph, sizes: int, diff: int, seed: int) -> Labeling:
+def _uniform_isoarithmetic(g: Graph, sizes: int, diff: int = 1, seed: int = 0) -> Labeling:
     if not isinstance(sizes, int):
         raise ValueError("uniform_isoarithmetic takes one integer size")
     return construct_isoarithmetic(g, diff=diff, sizes=sizes, seed=seed)
 
 
-# every construction kind, in the order ``iasi label --kind`` lists
-# them: its builder, the ConstructSpec fields it needs and the ones it
-# may take.  Every builder also takes diff and seed; a field left None
-# falls back to the builder's own default.
-KINDS: dict[str, tuple[Callable[..., Labeling], tuple[str, ...], tuple[str, ...]]] = {
-    "isoarithmetic": (construct_isoarithmetic, (), ("sizes",)),
-    "uniform_isoarithmetic": (_uniform_isoarithmetic, ("sizes",), ()),
-    "bipartite_uniform_isoarithmetic": (construct_bipartite_uniform_isoarithmetic, ("sizes",), ()),
-    "biarithmetic": (construct_biarithmetic, (), ("ratio", "sizes")),
-    "identical_biarithmetic": (construct_identical_biarithmetic, ("ratio",), ("sizes",)),
-    "strong_biarithmetic": (construct_strong_biarithmetic, (), ("sizes",)),
-    "componentwise_uniform": (construct_componentwise_uniform, ("edge_size",), ()),
+# every construction kind and its builder, in the order ``iasi label
+# --kind`` lists them; the builder's signature says what the kind reads
+KINDS: dict[str, Callable[..., Labeling]] = {
+    "isoarithmetic": construct_isoarithmetic,
+    "uniform_isoarithmetic": _uniform_isoarithmetic,
+    "bipartite_uniform_isoarithmetic": construct_bipartite_uniform_isoarithmetic,
+    "biarithmetic": construct_biarithmetic,
+    "identical_biarithmetic": construct_identical_biarithmetic,
+    "strong_biarithmetic": construct_strong_biarithmetic,
+    "componentwise_uniform": construct_componentwise_uniform,
 }
 
 
-def construct(g: Graph, spec: ConstructSpec) -> Labeling:
-    """Build spec.kind on g; a needed field left None or an unread one set is a ValueError."""
-    if not isinstance(spec.kind, str) or spec.kind not in KINDS:
-        raise ValueError(f"unknown construction kind {spec.kind!r}")
-    build, needs, takes = KINDS[spec.kind]
-    given = {
-        name: value
-        for name in ("sizes", "ratio", "edge_size")
-        if (value := getattr(spec, name)) is not None
-    }
-    for name in needs:
-        if name not in given:
-            raise ValueError(f"{spec.kind} needs {name}")
-    for name in given:
-        if name not in needs and name not in takes:
-            raise ValueError(f"{spec.kind} does not read {name}")
-    return build(g, diff=spec.diff, seed=spec.seed, **given)
+def construct(g: Graph, kind: str, **params: object) -> Labeling:
+    """Build kind on g from params; a needed one missing or an unread one given is a ValueError."""
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise ValueError(f"unknown construction kind {kind!r}")
+    build = KINDS[kind]
+    reads = inspect.signature(build).parameters
+    for name, p in reads.items():
+        if name != "g" and p.default is p.empty and name not in params:
+            raise ValueError(f"{kind} needs {name}")
+    for name in params:
+        if name not in reads:
+            raise ValueError(f"{kind} does not read {name}")
+    return build(g, **params)
 
 
 # --- exhaustive search ----------------------------------------------------
@@ -474,6 +458,11 @@ def search_identical_biarithmetic(g: Graph, bound: SearchBound = SearchBound()) 
     one the power of the ratio dividing the difference, so that power
     flips parity along every edge and a cycle of odd length cannot
     close.  A search that admits ratio 1 must drop this refusal.
+
+    The ratios stop at the first one above every window size: an edge
+    label is arithmetic only when the ratio is at most the size of its
+    smaller-difference endpoint, and the graph has an edge, so no larger
+    ratio has a witness either.
     """
     if g.vertex_count > MAX_SEARCH_VERTICES:
         raise SizeLimitError(
@@ -495,6 +484,8 @@ def search_identical_biarithmetic(g: Graph, bound: SearchBound = SearchBound()) 
         last[nbrs] = v
 
     for ratio in bound.ratios:
+        if ratio > bound.sizes[-1]:
+            break
         for diffs in _diff_assignments(g, order, twin, ratio, bound):
             witness = _fill_labels(g, order, twin, diffs, ratio, bound)
             if witness is not None:

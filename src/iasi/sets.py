@@ -91,10 +91,7 @@ class APSet:
     length: int
 
     def __post_init__(self) -> None:
-        for name in ("first", "diff", "length"):
-            value = getattr(self, name)
-            if type(value) is not int:  # exact type: bool is an int subclass
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        _require_ints(first=self.first, diff=self.diff, length=self.length)
         if self.first < 0:
             raise ValueError("first term must be non-negative")
         if self.diff < 1:

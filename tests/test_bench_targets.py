@@ -12,7 +12,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from iasi import ConstructSpec, Labeling, ap_set, cycle
+from iasi import Labeling, ap_set, cycle
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -53,7 +53,7 @@ def test_tracer_counts_sumsets_only_for_uncovered_edges():
     g = cycle(6)
 
     def covered():
-        lab = construct.construct(g, ConstructSpec("isoarithmetic"))
+        lab = construct.construct(g, "isoarithmetic")
         assert isinstance(lab, Labeling)
         assert verify.classify(g, lab).isoarithmetic
 

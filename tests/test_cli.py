@@ -7,7 +7,7 @@ search, 2 usage or input errors, 3 infeasible construction.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import inspect
 import subprocess
 import sys
 from unittest import mock
@@ -16,7 +16,6 @@ import pytest
 
 from iasi import (
     ConstructionError,
-    ConstructSpec,
     audit,
     cli,
     complete,
@@ -168,7 +167,7 @@ def test_label_flag_the_kind_does_not_read_is_usage_error(run, tmp_path):
         assert run("label", "--graph", gpath, *flags) == (2, "", f"error: {message}\n")
 
 
-# the flags and ConstructSpec fields each kind needs before any size form applies
+# the flags and construct() parameters each kind needs before any size form applies
 NEEDED = {
     "identical_biarithmetic": (["--k", "3"], {"ratio": 3}),
     "componentwise_uniform": (["--r", "7"], {"edge_size": 7}),
@@ -192,7 +191,7 @@ def test_label_agrees_with_the_library(run, tmp_path, kind):
         for size_flags, sizes in forms:
             got = run("label", "--graph", gpath, "--kind", kind, *flags, *size_flags)
             try:
-                lab = construct(g, ConstructSpec(kind, sizes=sizes, **fields))
+                lab = construct(g, kind, sizes=sizes, **fields)
                 want = (0, serialize_labeling(lab), "")
             except ConstructionError as exc:
                 want = (3, "", f"error: {exc}\n")
@@ -203,31 +202,33 @@ def test_label_agrees_with_the_library(run, tmp_path, kind):
 
 def test_every_label_flag_fills_a_spec_field(tmp_path, monkeypatch):
     gpath = write_graph(tmp_path, path(3))
-    specs = []
+    calls = []
 
-    def record(g, spec):
-        specs.append(spec)
+    def record(g, kind, **params):
+        calls.append(params)
         raise ValueError("recorded")
 
     monkeypatch.setattr(cli, "construct", record)
     monkeypatch.delenv("IASI_SEED", raising=False)
     argv = ["label", "--graph", gpath, "--kind", "isoarithmetic"]
     assert main(argv) == 2
+    assert calls == [{"diff": 1, "seed": 0}]
     (label,) = [
         sub.choices["label"] for sub in build_parser()._actions
         if isinstance(sub, argparse._SubParsersAction)
     ]
     partner = {"--m": ["--n", "5"], "--n": ["--m", "5"]}
+    filled = set()
     for action in label._actions:
         (flag, *_) = action.option_strings
         if flag in ("-h", "--graph", "--kind", "--format", "--out"):
             continue
         assert main([*argv, flag, "5", *partner.get(flag, [])]) == 2
-        assert specs[-1] != specs[0], flag
-    # and every field a flag can fill is read by some kind
-    read = {name for _, needs, takes in KINDS.values() for name in needs + takes}
-    fields = {f.name for f in dataclasses.fields(ConstructSpec)}
-    assert fields - {"kind", "diff", "seed"} == read
+        assert calls[-1] != calls[0], flag
+        filled |= set(calls[-1])
+    # and the flags reach every parameter some builder reads
+    read = {name for build in KINDS.values() for name in inspect.signature(build).parameters}
+    assert filled == read - {"g"}
 
 
 def test_label_odd_cycle_single_ratio_is_infeasible(run, tmp_path):

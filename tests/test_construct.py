@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import inspect
 import random
 import time
 from collections import Counter
@@ -17,7 +16,6 @@ import pytest
 
 from iasi import (
     ConstructionError,
-    ConstructSpec,
     InfeasibleError,
     IntSet,
     Labeling,
@@ -137,7 +135,7 @@ def test_side_kinds_bipartition_and_resolve_sizes_once(monkeypatch):
         monkeypatch.setattr(construct_module, name, counted)
     builds = [
         lambda: construct_strong_biarithmetic(star(2000), sizes=(4, 3)),
-        lambda: construct(cycle(2000), ConstructSpec("bipartite_uniform_isoarithmetic", sizes=(3, 4))),
+        lambda: construct(cycle(2000), "bipartite_uniform_isoarithmetic", sizes=(3, 4)),
     ]
     for build in builds:
         calls.clear()
@@ -295,8 +293,8 @@ def test_seed_must_be_an_integer():
         (lambda: construct_isoarithmetic(path(3), diff="2"), "diff must be an integer, got '2'"),
         (lambda: construct_biarithmetic(path(3), ratio="2"), "ratio must be an integer, got '2'"),
         (lambda: construct_identical_biarithmetic(path(3), ratio="2"), "ratio must be an integer"),
-        (lambda: construct(path(3), ConstructSpec("isoarithmetic", diff=None)), "diff must be"),
-        (lambda: construct(path(3), ConstructSpec("biarithmetic", ratio=2.0)), "ratio must be"),
+        (lambda: construct(path(3), "isoarithmetic", diff=None), "diff must be"),
+        (lambda: construct(path(3), "biarithmetic", ratio=2.0), "ratio must be"),
         (lambda: construct_componentwise_uniform(path(3), True), "edge_size must be an integer"),
         (lambda: construct_componentwise_uniform(path(3), 4, diff=0), "difference must be"),
         (lambda: path(2.5), "n must be an integer, got 2.5"),
@@ -321,35 +319,38 @@ def test_parameters_must_be_exact_ints(call, match):
 def test_cli_sparse_outputs_stay_seven_digits():
     g = path(2000)
     specs = [
-        ConstructSpec("identical_biarithmetic", ratio=2, seed=999),
-        ConstructSpec("componentwise_uniform", edge_size=7, seed=999),
-        ConstructSpec("bipartite_uniform_isoarithmetic", sizes=(3, 4), seed=999),
-        ConstructSpec("strong_biarithmetic", sizes=(4, 3), seed=999),
+        ("identical_biarithmetic", {"ratio": 2}),
+        ("componentwise_uniform", {"edge_size": 7}),
+        ("bipartite_uniform_isoarithmetic", {"sizes": (3, 4)}),
+        ("strong_biarithmetic", {"sizes": (4, 3)}),
     ]
-    for spec in specs:
-        lab = construct(g, spec)
-        assert max(lab.label(v).max for v in g.vertices) < 10**7, spec.kind
+    for kind, params in specs:
+        lab = construct(g, kind, seed=999, **params)
+        assert max(lab.label(v).max for v in g.vertices) < 10**7, kind
 
 
 # --- dispatcher -----------------------------------------------------------------------
 
 
+# each kind, in the order of the table, parameters it builds from on K2,3
+# and the report flag it must set
+EVERY_KIND = [
+    ("isoarithmetic", {"diff": 2}, "isoarithmetic"),
+    ("uniform_isoarithmetic", {"sizes": 4}, "isoarithmetic"),
+    ("bipartite_uniform_isoarithmetic", {"sizes": (3, 4)}, "isoarithmetic"),
+    ("biarithmetic", {"ratio": 2}, "biarithmetic"),
+    ("identical_biarithmetic", {"ratio": 2, "sizes": (3, 3)}, "biarithmetic"),
+    ("strong_biarithmetic", {"sizes": (3, 4)}, "strong"),
+    ("componentwise_uniform", {"edge_size": 7}, "isoarithmetic"),
+]
+
+
 def test_construct_dispatcher_covers_every_kind():
     g = complete_bipartite(2, 3)
-    # each kind, in the order of the table, and the report flag it must set
-    cases = [
-        (ConstructSpec("isoarithmetic", diff=2), "isoarithmetic"),
-        (ConstructSpec("uniform_isoarithmetic", sizes=4), "isoarithmetic"),
-        (ConstructSpec("bipartite_uniform_isoarithmetic", sizes=(3, 4)), "isoarithmetic"),
-        (ConstructSpec("biarithmetic", ratio=2), "biarithmetic"),
-        (ConstructSpec("identical_biarithmetic", ratio=2, sizes=(3, 3)), "biarithmetic"),
-        (ConstructSpec("strong_biarithmetic", sizes=(3, 4)), "strong"),
-        (ConstructSpec("componentwise_uniform", edge_size=7), "isoarithmetic"),
-    ]
-    assert [spec.kind for spec, _ in cases] == list(construct_module.KINDS)
-    for spec, flag in cases:
-        lab = construct(g, spec)
-        assert getattr(classify(g, lab), flag), spec.kind
+    assert [kind for kind, _, _ in EVERY_KIND] == list(construct_module.KINDS)
+    for kind, params, flag in EVERY_KIND:
+        lab = construct(g, kind, **params)
+        assert getattr(classify(g, lab), flag), kind
     # `iasi label --kind` offers exactly the table's kinds, in its order
     (verbs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     (kind,) = [a for a in verbs.choices["label"]._actions if a.dest == "kind"]
@@ -367,56 +368,53 @@ def test_constructors_certify_through_classify(monkeypatch):
     assert rep.is_iasi and rep.violations == ()
     assert not rep.arithmetic
     monkeypatch.setattr(construct_module, "ap_set", gapped)
-    specs = [
-        ConstructSpec("isoarithmetic", diff=2),
-        ConstructSpec("uniform_isoarithmetic", sizes=4),
-        ConstructSpec("bipartite_uniform_isoarithmetic", sizes=(3, 4)),
-        ConstructSpec("biarithmetic", ratio=2),
-        ConstructSpec("identical_biarithmetic", ratio=2, sizes=(3, 3)),
-        ConstructSpec("strong_biarithmetic", sizes=(3, 4)),
-        ConstructSpec("componentwise_uniform", edge_size=7),
-    ]
-    for spec in specs:
+    for kind, params, _ in EVERY_KIND:
         with pytest.raises(ConstructionError, match="certification failed"):
-            construct(g, spec)
+            construct(g, kind, **params)
     with pytest.raises(ConstructionError, match="certification failed"):
         search_identical_biarithmetic(cycle(4))
 
 
 def test_construct_dispatcher_rejects_bad_specs():
     g = path(3)
-    for kind in ("no-such-kind", ["isoarithmetic"]):  # a list is no kind, and unhashable
+    for kind in ("no-such-kind", ["isoarithmetic"], None):  # a list is no kind, and unhashable
         with pytest.raises(ValueError, match="unknown construction kind"):
-            construct(g, ConstructSpec(kind))
-    for kind, field in [
-        ("identical_biarithmetic", "ratio"),
-        ("componentwise_uniform", "edge_size"),
-        ("uniform_isoarithmetic", "sizes"),
-        ("bipartite_uniform_isoarithmetic", "sizes"),
-    ]:
-        with pytest.raises(ValueError, match=f"^{kind} needs {field}$"):
-            construct(g, ConstructSpec(kind))
-    with pytest.raises(ValueError):
-        construct(g, ConstructSpec("uniform_isoarithmetic", sizes=(3, 4)))
-    with pytest.raises(ValueError):
-        construct(g, ConstructSpec("bipartite_uniform_isoarithmetic", sizes=3))
-    # every kind refuses each field its KINDS row does not read, rather
-    # than dropping it; the needed fields are set so only that one is wrong
+            construct(g, kind)
+    # what each kind needs and may take besides diff and seed, written out
+    # here rather than read from the builders it checks
+    reads = {
+        "isoarithmetic": ((), ("sizes",)),
+        "uniform_isoarithmetic": (("sizes",), ()),
+        "bipartite_uniform_isoarithmetic": (("sizes",), ()),
+        "biarithmetic": ((), ("ratio", "sizes")),
+        "identical_biarithmetic": (("ratio",), ("sizes",)),
+        "strong_biarithmetic": ((), ("sizes",)),
+        "componentwise_uniform": (("edge_size",), ()),
+    }
+    assert list(reads) == list(construct_module.KINDS)
     needed = {"sizes": (3, 4), "ratio": 2, "edge_size": 7}
-    for kind, (_, needs, takes) in construct_module.KINDS.items():
+    for kind, (needs, takes) in reads.items():
+        for name in needs:
+            with pytest.raises(ValueError, match=f"^{kind} needs {name}$"):
+                construct(g, kind, diff=1, seed=0)
+        # every parameter the kind does not read is refused, not dropped;
+        # the needed ones are passed so only that one is wrong
         base = {name: needed[name] for name in needs}
-        unread = [name for name in needed if name not in needs + takes]
-        for name in unread:
-            with pytest.raises(ValueError, match=f"^{kind} does not read {name}$"):
-                construct(g, ConstructSpec(kind, **base, **{name: needed[name]}))
-    # each row matches its builder: the parameters besides g, diff and
-    # seed are exactly the row's needs, with no default, and takes, with one
-    for kind, (build, needs, takes) in construct_module.KINDS.items():
-        params = inspect.signature(build).parameters
-        rest = {name: p.default for name, p in params.items() if name not in ("g", "diff", "seed")}
-        assert sorted(rest) == sorted(needs + takes), kind
-        assert all(rest[name] is inspect.Parameter.empty for name in needs), kind
-        assert all(rest[name] is not inspect.Parameter.empty for name in takes), kind
+        for name in needed:
+            if name not in needs + takes:
+                with pytest.raises(ValueError, match=f"^{kind} does not read {name}$"):
+                    construct(g, kind, **base, **{name: needed[name]})
+        for name in takes:
+            try:
+                construct(g, kind, **base, **{name: needed[name]})
+            except (ConstructionError, ValueError) as exc:
+                assert "does not read" not in str(exc), exc
+    with pytest.raises(ValueError, match="^isoarithmetic does not read foo$"):
+        construct(g, "isoarithmetic", foo=1)
+    with pytest.raises(ValueError):
+        construct(g, "uniform_isoarithmetic", sizes=(3, 4))
+    with pytest.raises(ValueError):
+        construct(g, "bipartite_uniform_isoarithmetic", sizes=3)
 
 
 # --- exhaustive search ------------------------------------------------------------------
@@ -536,6 +534,30 @@ def test_search_refuses_non_bipartite_graphs_before_any_difference_map(monkeypat
         assert calls["diffs"] == 0
     assert search_identical_biarithmetic(cycle(4)) is not None
     assert calls["diffs"] >= 1
+
+
+def test_search_skips_ratios_above_every_size(monkeypatch):
+    # an edge needs a ratio no bigger than its smaller-difference endpoint's
+    # size, so these windows have no witness; walking their difference
+    # maps took seconds
+    calls = Counter()
+    assignments = construct_module._diff_assignments
+
+    def counted(*args):
+        calls["diffs"] += 1
+        return assignments(*args)
+
+    monkeypatch.setattr(construct_module, "_diff_assignments", counted)
+    for g, bound in [
+        (graph(6, [(0, 1)]), SearchBound(max_element=23, sizes=(3, 4), ratios=(5,))),
+        (graph(7, [(2, 4), (3, 4)]), SearchBound(max_element=21, sizes=(4,), ratios=(5,))),
+    ]:
+        assert search_identical_biarithmetic(g, bound) is None
+        assert calls["diffs"] == 0
+    # a ratio at the largest size is still searched
+    bound = SearchBound(max_element=23, sizes=(3, 4), ratios=(4, 5))
+    assert classify(path(2), search_identical_biarithmetic(path(2), bound)).identical_biarithmetic == 4
+    assert calls["diffs"] == 1
 
 
 def test_search_witness_respects_bound():

@@ -69,7 +69,6 @@ from iasi import (
     Bipartition,
     ClassProfile,
     ConstructionError,
-    ConstructSpec,
     IntSet,
     Labeling,
     MissingLabelError,
@@ -1032,17 +1031,23 @@ def graphs_with_isolated_vertices(draw):
     return graph(g.vertex_count + draw(st.integers(2, 3)), g.edges)
 
 
-@st.composite
-def search_windows(draw):
+def search_graphs():
     # odd cycles fail at the difference step, so bipartite graphs are most
     # of the draw; random graphs rarely have twins (vertices with the same
     # neighbours), so complete bipartite, cloned and isolated vertices add them
-    g = draw(st.one_of(
+    return st.one_of(
         graphs(max_n=7), bipartite_graphs(), bipartite_graphs(),
         complete_bipartite_graphs(), cloned_graphs(), graphs_with_isolated_vertices(),
-    ).filter(lambda g: g.edges))
+    ).filter(lambda g: g.edges)
+
+
+@st.composite
+def search_windows(draw):
+    g = draw(search_graphs())
     sizes = tuple(draw(st.lists(st.integers(3, 6), min_size=1, max_size=3)))
-    ratios = tuple(draw(st.lists(st.integers(2, 5), min_size=1, max_size=2)))
+    # a ratio above every size has no witness, and the oracle would sweep
+    # each of its difference maps; ratio_above_size_windows covers those
+    ratios = tuple(draw(st.lists(st.integers(2, min(5, max(sizes))), min_size=1, max_size=2)))
     return g, SearchBound(max_element=draw(st.integers(0, 24)), sizes=sizes, ratios=ratios)
 
 
@@ -1055,6 +1060,26 @@ def test_search_matches_sumset_search(case):
     for result in (fast, naive):
         if result[0] == "returned" and result[1] is not None:
             assert_twins_ascending(g, result[1])
+
+
+@st.composite
+def ratio_above_size_windows(draw):
+    # some ratio above every size, which the search skips with every
+    # larger one; a largest element of at most 8 keeps the oracle, which
+    # sweeps every difference map of that ratio, cheap
+    g = draw(search_graphs())
+    sizes = tuple(draw(st.lists(st.integers(3, 5), min_size=1, max_size=2)))
+    above = draw(st.integers(max(sizes) + 1, max(sizes) + 2))
+    ratios = (above, *draw(st.lists(st.integers(2, above + 1), max_size=1)))
+    return g, SearchBound(max_element=draw(st.integers(0, 8)), sizes=sizes, ratios=ratios)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ratio_above_size_windows())
+def test_search_matches_sumset_search_past_the_sizes(case):
+    g, bound = case
+    fast, naive = outcome(search_identical_biarithmetic, g, bound), outcome(naive_search, g, bound)
+    assert fast == naive
 
 
 @st.composite
@@ -1130,20 +1155,20 @@ def construct_cases(draw):
         "strong_biarithmetic": st.tuples(size, size),
         "componentwise_uniform": st.none(),
     }[kind]
-    return g, ConstructSpec(
-        kind,
-        diff=draw(st.integers(1, 4)),
-        sizes=draw(sizes),
-        # only the fields the kind reads: the dispatcher refuses the rest
-        ratio=draw(st.integers(2, 4)) if kind in ("biarithmetic", "identical_biarithmetic") else None,
-        edge_size=draw(st.integers(5, 9)) if kind == "componentwise_uniform" else None,
-        seed=draw(st.integers(-2000, 5000)),
-    )
+    params = {
+        "diff": draw(st.integers(1, 4)),
+        "sizes": draw(sizes),
+        # only the parameters the kind reads: the dispatcher refuses the rest
+        "ratio": draw(st.integers(2, 4)) if kind in ("biarithmetic", "identical_biarithmetic") else None,
+        "edge_size": draw(st.integers(5, 9)) if kind == "componentwise_uniform" else None,
+        "seed": draw(st.integers(-2000, 5000)),
+    }
+    return g, kind, {name: value for name, value in params.items() if value is not None}
 
 
-def constructed(g, spec):
+def constructed(g, kind, params):
     try:
-        lab = construct(g, spec)
+        lab = construct(g, kind, **params)
     except (ConstructionError, ValueError) as exc:
         return ("raised", type(exc), str(exc)), None
     return ("returned", classify(g, lab)), lab
@@ -1152,10 +1177,10 @@ def constructed(g, spec):
 @settings(max_examples=400, deadline=None)
 @given(construct_cases())
 def test_sidon_pool_matches_doubling_pool(case):
-    g, spec = case
-    fast, lab = constructed(g, spec)
+    g, kind, params = case
+    fast, lab = constructed(g, kind, params)
     with mock.patch("iasi.construct._assign", naive_assign):
-        naive, naive_lab = constructed(g, spec)
+        naive, naive_lab = constructed(g, kind, params)
     assert fast == naive
     if lab is not None:
         for v in g.vertices:
