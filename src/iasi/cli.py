@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import os
 import sys
 from pathlib import Path
@@ -141,14 +142,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_classes(args: argparse.Namespace) -> int:
-    if args.set_a is not None or args.set_b is not None:
+    sets = args.set_a is not None or args.set_b is not None
+    if sets and (args.labeling is not None or args.edge is not None):
+        raise ValueError("give --set-a/--set-b or --labeling/--edge, not both")
+    if sets:
         if args.set_a is None or args.set_b is None:
             raise ValueError("--set-a and --set-b go together")
         a = IntSet(tuple(_parse_values(args.set_a)))
         b = IntSet(tuple(_parse_values(args.set_b)))
     elif args.labeling is not None and args.edge is not None:
         lab = _load_labeling(args.labeling)
-        u, v = (int(p) for p in args.edge.split(","))
+        try:
+            u, v = map(int, args.edge.split(","))
+        except ValueError:
+            raise ValueError(f"--edge takes u,v, got {args.edge!r}") from None
         a, b = lab.label(u), lab.label(v)
     else:
         raise ValueError("give either --set-a/--set-b or --labeling/--edge")
@@ -159,17 +166,17 @@ def _cmd_classes(args: argparse.Namespace) -> int:
 
 def _cmd_audit(args: argparse.Namespace) -> int:
     theorem = args.theorem
-    ms = _parse_values(args.m)
-    ns = _parse_values(args.n)
-    if AUDITS[theorem.upper()][0] == 2:
-        grid = ((m, n) for m in ms for n in ns)
-    else:
+    axes = [_parse_values(args.m), _parse_values(args.n)]
+    if AUDITS[theorem.upper()][0] == 3:
         if args.k is None:
             raise ValueError(f"theorem {theorem} needs --k")
-        ks = _parse_values(args.k)
-        grid = ((m, n, k) for m in ms for n in ns for k in ks)
+        axes.append(_parse_values(args.k))
+    elif args.k is not None:
+        raise ValueError(f"theorem {theorem} does not read --k")
+    if args.d < 1:  # no count reads --d, so it is checked here and nowhere else
+        raise ValueError("difference must be positive")
     # a stream: each record is rendered as it is made and none is kept
-    records = (audit_point(theorem, point, args.d) for point in grid)
+    records = (audit_point(theorem, point) for point in itertools.product(*axes))
     _emit(serialize_audit(records, fmt=args.format), args.out)
     return 0
 
@@ -250,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, help="range lo..hi or CSV")
     p.add_argument("--k", help="range lo..hi or CSV (ratio theorems)")
     p.add_argument("--d", type=int, default=1,
-                   help="difference scaling the witness labels; changes no count")
+                   help="witness label difference; must be positive, changes no output")
     p.add_argument("--format", default="text", choices=["text", "structured"])
     p.add_argument("--out")
     p.set_defaults(func=_cmd_audit)

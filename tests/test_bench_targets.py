@@ -86,7 +86,7 @@ def test_tracer_counts_no_sets_for_an_audit():
     compat = importlib.import_module("iasi.compat")
 
     def sweep():
-        records = compat.audit("T-NCC", [(m, n) for m in range(3, 9) for n in range(3, 6)], 3)
+        records = compat.audit("T-NCC", [(m, n) for m in range(3, 9) for n in range(3, 6)])
         grid = [(m, n, k) for m in (3, 5) for n in (3, 4) for k in (1, 2, 3)]
         records += compat.audit("EDGE-SIN", grid)
         assert {r.verdict for r in records} == {"match"}

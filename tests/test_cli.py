@@ -376,6 +376,28 @@ def test_classes_needs_a_source(run):
     assert code == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ["--set-a", "0..2", "--set-b", "0,2", "--labeling", "/nonexistent", "--edge", "9,9"],
+    ["--set-a", "0..2", "--set-b", "0,2", "--edge", "0,1"],
+    ["--set-b", "0,2", "--labeling", "lab.txt"],
+], ids=["all-four", "sets-and-edge", "set-b-and-labeling"])
+def test_classes_refuses_mixed_input_forms(run, flags):
+    # the labeling flags used to be dropped without a word, the file unread
+    assert run("classes", *flags) == (
+        2, "", "error: give --set-a/--set-b or --labeling/--edge, not both\n"
+    )
+
+
+@pytest.mark.parametrize("edge", ["0", "0,1,2", "a,b", ""])
+def test_classes_malformed_edge_names_the_flag(run, tmp_path, edge):
+    # each used to report an unpacking or int() error
+    lpath = tmp_path / "lab.txt"
+    lpath.write_text("0: 0 1 2\n1: 0 2 4\n")
+    assert run("classes", "--labeling", str(lpath), "--edge", edge) == (
+        2, "", f"error: --edge takes u,v, got {edge!r}\n"
+    )
+
+
 # --- audit ----------------------------------------------------------------------
 
 
@@ -396,6 +418,12 @@ def test_audit_reports_mismatch_without_failing(run):
 def test_audit_ratio_theorem_needs_k(run):
     code, _, err = run("audit", "--theorem", "t-nsc-ii", "--m", "5..7", "--n", "3")
     assert code == 2 and "--k" in err
+
+
+def test_audit_two_member_theorem_refuses_k(run):
+    # --k used to be ignored on a theorem whose points are (m, n)
+    code, out, err = run("audit", "--theorem", "t-ncc", "--m", "3", "--n", "3", "--k", "2")
+    assert (code, out, err) == (2, "", "error: theorem t-ncc does not read --k\n")
 
 
 @pytest.mark.parametrize("flags", [
@@ -425,7 +453,7 @@ def test_audit_structured_output(run):
 @pytest.mark.parametrize("fmt", ["text", "structured"])
 def test_audit_output_equals_the_library_rendering(run, fmt):
     grid = [(m, n, k) for m in range(3, 9) for n in range(3, 6) for k in range(2, 5)]
-    records = audit("T-NMCC-II", grid, diff=3)
+    records = audit("T-NMCC-II", grid)
     assert {rec.verdict for rec in records} == {"match", "mismatch", "skipped"}
     code, out, _ = run(
         "audit", "--theorem", "t-nmcc-ii", "--m", "3..8", "--n", "3..5", "--k", "2..4",
@@ -440,6 +468,21 @@ def test_audit_bad_difference_writes_no_out_file(run, tmp_path):
         "audit", "--theorem", "t-ncc", "--m", "3..6", "--n", "3", "--d", "0", "--out", str(out)
     )
     assert code == 2 and stdout == "" and err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("d", ["0", "-1"])
+@pytest.mark.parametrize("grid", [
+    ["--theorem", "t-nsc-ii", "--m", "3", "--n", "9", "--k", "2"],  # every point skipped
+    ["--theorem", "t-ncc", "--m", "3..6", "--n", "3"],  # every point predicted
+], ids=["skipped", "predicted"])
+def test_audit_nonpositive_difference_is_refused_on_every_grid(run, tmp_path, grid, d):
+    # an all-skipped grid used to exit 0: only a predicted point checked --d
+    out = tmp_path / "audit.txt"
+    for extra in ([], ["--out", str(out)]):
+        assert run("audit", *grid, "--d", d, *extra) == (
+            2, "", "error: difference must be positive\n"
+        )
     assert not out.exists()
 
 
