@@ -156,6 +156,8 @@ def _cmd_classes(args: argparse.Namespace) -> int:
             u, v = map(int, args.edge.split(","))
         except ValueError:
             raise ValueError(f"--edge takes u,v, got {args.edge!r}") from None
+        if u == v:  # a labeling file carries no edges, so only a loop can be refused
+            raise ValueError(f"--edge joins two distinct vertices, got {args.edge!r}")
         a, b = lab.label(u), lab.label(v)
     else:
         raise ValueError("give either --set-a/--set-b or --labeling/--edge")

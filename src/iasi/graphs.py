@@ -2,10 +2,14 @@
 
 Vertices are the integers ``0 .. vertex_count-1``.  Edges are unordered
 pairs stored normalized as ``(min, max)``; each graph builds its sorted
-adjacency once, when it is created.  One breadth-first traversal, roots
-and neighbours in ascending order, gives every component's visiting
-order and a 2-colouring, and components, bipartition sides and the
-search's vertex order all read it, so each is reproducible bit for bit.
+adjacency once, when it is created.  ``_freeze`` is the one place a
+Graph's edges and adjacency are set: ``Graph.__post_init__`` calls it
+after checking every edge, and ``io.parse_graph`` after checking every
+line, so a parsed graph is checked once, not a second time on creation.
+One breadth-first traversal, roots and neighbours in ascending order,
+gives every component's visiting order and a 2-colouring, and
+components, bipartition sides and the search's vertex order all read
+it, so each is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -44,8 +48,7 @@ class Graph:
                 norm.add(e)
                 adjacency[u].append(v)
                 adjacency[v].append(u)
-        object.__setattr__(self, "edges", frozenset(norm))
-        object.__setattr__(self, "_adjacency", tuple(tuple(sorted(a)) for a in adjacency))
+        _freeze(self, n, norm, adjacency)
 
     @property
     def vertices(self) -> range:
@@ -65,6 +68,19 @@ class Graph:
 
     def isolated_vertices(self) -> tuple[int, ...]:
         return tuple(v for v in self.vertices if not self._adjacency[v])
+
+
+def _freeze(g: Graph, n: int, edges: set[Edge], adjacency: list[list[int]]) -> Graph:
+    """Set g's fields from checked edges and return g.
+
+    ``n`` must be a non-negative int, ``edges`` distinct ``(min, max)``
+    pairs of distinct ints in ``range(n)``, and ``adjacency[v]`` the
+    neighbours of v in any order.  Nothing is checked here.
+    """
+    object.__setattr__(g, "vertex_count", n)
+    object.__setattr__(g, "edges", frozenset(edges))
+    object.__setattr__(g, "_adjacency", tuple(tuple(sorted(a)) for a in adjacency))
+    return g
 
 
 def graph(vertex_count: int, edges: Iterable[Edge] = ()) -> Graph:

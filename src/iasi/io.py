@@ -3,7 +3,9 @@
 Serializers emit one canonical form (vertices ascending, edges sorted,
 elements ascending) and the parsers accept exactly that shape, so
 parse(serialize(x)) == x and any drift is a loud error with a line
-number rather than a silent renumbering.
+number rather than a silent renumbering.  The parsers check each line
+once and build the ``Graph`` or ``Labeling`` from what they checked,
+without the second validation pass of the public constructors.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from collections.abc import Iterable, Mapping
 from typing import Optional
 
 from .compat import AuditRecord, ClassProfile
-from .graphs import Graph, graph
+from .graphs import Graph, _freeze
 from .labeling import Labeling
 from .sets import IntSet
 from .verify import VerificationReport
@@ -49,10 +51,11 @@ def parse_graph(text: str) -> Graph:
     if n < 0 or m < 0:
         raise ParseError("header values must be non-negative", 1)
     edges: set[tuple[int, int]] = set()
+    adjacency: list[list[int]] = [[] for _ in range(n)]
     for i, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
         parts = raw.split()
+        if not parts:
+            continue
         if len(parts) != 2:
             raise ParseError("expected edge 'u v'", i)
         try:
@@ -63,23 +66,23 @@ def parse_graph(text: str) -> Graph:
             raise ParseError(f"self-loop at vertex {u}", i)
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(f"edge {u} {v} out of range for {n} vertices", i)
-        e = (min(u, v), max(u, v))
+        e = (u, v) if u < v else (v, u)
         if e in edges:
             raise ParseError(f"duplicate edge {u} {v}", i)
         edges.add(e)
+        adjacency[u].append(v)
+        adjacency[v].append(u)
     if len(edges) != m:
         raise ParseError(f"header promised {m} edges, found {len(edges)}", len(lines))
-    return graph(n, edges)
+    # every check of Graph.__post_init__ has passed above, line by line
+    return _freeze(object.__new__(Graph), n, edges, adjacency)
 
 
 # --- labelings -----------------------------------------------------------
 
 
 def serialize_labeling(lab: Labeling) -> str:
-    lines = [
-        f"{v}: " + " ".join(str(x) for x in lab.label(v))
-        for v in lab.vertices()
-    ]
+    lines = [f"{v}: " + " ".join(map(str, s.elems)) for v, s in lab.assignment.items()]
     return "\n".join(lines) + "\n"
 
 
@@ -105,18 +108,20 @@ def parse_labeling(text: str) -> Labeling:
         if not parts:
             raise ParseError(f"vertex {v} has an empty label", i)
         try:
-            elems = [int(p) for p in parts]
+            elems = tuple(map(int, parts))
         except ValueError:
             raise ParseError("label elements must be integers", i) from None
-        for a, b in zip(elems, elems[1:]):
-            if b <= a:
-                raise ParseError(
-                    f"label elements must be strictly increasing, saw {a} then {b}", i
-                )
+        if not all(map(int.__lt__, elems, elems[1:])):
+            for a, b in zip(elems, elems[1:]):
+                if b <= a:
+                    raise ParseError(
+                        f"label elements must be strictly increasing, saw {a} then {b}", i
+                    )
         if elems[0] < 0:
             raise ParseError("label elements must be non-negative", i)
-        assignment[v] = IntSet(tuple(elems))
-    return Labeling(assignment)
+        assignment[v] = IntSet._from_sorted(elems)
+    # ids are non-negative ints in ascending order, labels checked above
+    return Labeling._from_sorted(assignment)
 
 
 # --- value formatting -----------------------------------------------------

@@ -42,6 +42,13 @@ class Labeling:
                 raise ValueError(f"label of vertex {v}: {exc}") from None
         object.__setattr__(self, "assignment", dict(sorted(fixed.items())))
 
+    @classmethod
+    def _from_sorted(cls, assignment: dict[int, IntSet]) -> "Labeling":
+        """Wrap a dict of non-negative int ids, in ascending order, to IntSets."""
+        lab = object.__new__(cls)
+        object.__setattr__(lab, "assignment", assignment)
+        return lab
+
     def label(self, v: int) -> IntSet:
         try:
             return self.assignment[v]

@@ -127,10 +127,10 @@ def detect_ap(s: IntSet | Ints) -> Optional[tuple[int, int]]:
     if len(e) == 1:
         return (e[0], 0)
     d = e[1] - e[0]
-    for i in range(2, len(e)):
-        if e[i] - e[i - 1] != d:
-            return None
-    return (e[0], d)
+    # the span test first: the range of a non-progression can be huge
+    if e[-1] - e[0] != d * (len(e) - 1):
+        return None
+    return (e[0], d) if e == tuple(range(e[0], e[-1] + 1, d)) else None
 
 
 def check_freiman_converse(a: IntSet | Ints, b: IntSet | Ints) -> bool:

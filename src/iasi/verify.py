@@ -3,9 +3,10 @@
 ``classify``, the one verifier, fills its report from one loop over the
 vertices and one over the edges; nothing is trusted from construction
 time, and every constructor and the search certify their output through
-it.  The vertex loop reads each label, its common difference (the
-paper's deterministic index) when it is a progression of at least 3
-elements, and the vertex-label collisions.  The edge loop keys each
+it.  The vertex loop reads each label, its size and first element,
+its common difference (the paper's deterministic index) when it is a
+progression of at least 3 elements, and the vertex-label collisions;
+the edge loop reads sizes and first elements from there.  It keys each
 edge label f(u) + f(v) and in the same step records its size, its
 deterministic ratio (the larger index over the smaller), a ratio
 violation and an edge-label collision.  An edge whose labels are
@@ -67,14 +68,17 @@ def classify(g: Graph, lab: Labeling) -> VerificationReport:
     violations: list[Violation] = []
     labels: list[IntSet] = []  # f(v), indexed by vertex
     diffs: list[Optional[int]] = []  # diff of f(v) if a progression of >= 3 elements
-    vertex_sizes: set[int] = set()
+    sizes: list[int] = []  # |f(v)|
+    mins: list[int] = []  # min f(v)
     first_with_label: dict[tuple[int, ...], int] = {}
     for v in g.vertices:
         s = lab.label(v)
-        ap = detect_ap(s) if len(s) >= 3 else None
+        size = len(s.elems)
+        ap = detect_ap(s) if size >= 3 else None
         labels.append(s)
         diffs.append(None if ap is None else ap[1])
-        vertex_sizes.add(len(s))
+        sizes.append(size)
+        mins.append(s.elems[0])
         first = first_with_label.setdefault(s.elems, v)
         if first != v:
             violations.append(Violation(
@@ -92,12 +96,17 @@ def classify(g: Graph, lab: Labeling) -> VerificationReport:
     edge_sizes: set[int] = set()
     edge_arithmetic = strong = True
     first_with_key: dict[tuple, tuple[int, int]] = {}
-    for u, v in g.edge_list():
+    for e in g.edge_list():
+        u, v = e
         du, dv = diffs[u], diffs[v]
+        su, sv = sizes[u], sizes[v]
         # bound: size of the smaller-diff label, the smaller size on a tie
         ratio, bound = None, 0
         if du is not None and dv is not None:
-            (lo, bound), (hi, n) = sorted(((du, len(labels[u])), (dv, len(labels[v]))))
+            if du < dv or (du == dv and su <= sv):
+                lo, bound, hi, n = du, su, dv, sv
+            else:
+                lo, bound, hi, n = dv, sv, du, su
             if hi % lo:
                 ratio_violations.append(Violation(
                     element=f"e{u}-{v}",
@@ -117,7 +126,7 @@ def classify(g: Graph, lab: Labeling) -> VerificationReport:
         # compare equal, so two edges share a key exactly when they share a label
         if ratio is not None and ratio <= bound:
             size = bound + ratio * (n - 1)
-            key: tuple = (labels[u].min + labels[v].min, lo, size)
+            key: tuple = (mins[u] + mins[v], lo, size)
         else:
             label = sumset(labels[u], labels[v])
             size = len(label)
@@ -126,9 +135,11 @@ def classify(g: Graph, lab: Labeling) -> VerificationReport:
             edge_arithmetic = edge_arithmetic and ap is not None
         ratios.add(ratio)
         edge_sizes.add(size)
-        strong = strong and size == len(labels[u]) * len(labels[v])
-        pu, pv = first_with_key.setdefault(key, (u, v))
-        if (pu, pv) != (u, v):
+        strong = strong and size == su * sv
+        # the edges are distinct tuples, so identity tells a new key from a collision
+        first_edge = first_with_key.setdefault(key, e)
+        if first_edge is not e:
+            pu, pv = first_edge
             violations.append(Violation(
                 element=f"e{pu}-{pv},e{u}-{v}",
                 rule="edge-label-collision",
@@ -153,7 +164,7 @@ def classify(g: Graph, lab: Labeling) -> VerificationReport:
         identical_biarithmetic=ratios.pop() if biarithmetic and len(ratios) == 1 else None,
         strong=is_iasi and strong,
         edge_uniform=edge_sizes.pop() if len(edge_sizes) == 1 else None,
-        vertex_uniform=vertex_sizes.pop() if len(vertex_sizes) == 1 else None,
+        vertex_uniform=sizes[0] if len(set(sizes)) == 1 else None,
         violations=tuple(sorted(violations, key=lambda x: (x.element, x.rule))),
         warnings=tuple(f"vertex {v} is isolated" for v in g.isolated_vertices()),
     )

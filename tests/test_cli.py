@@ -398,6 +398,16 @@ def test_classes_malformed_edge_names_the_flag(run, tmp_path, edge):
     )
 
 
+@pytest.mark.parametrize("edge", ["0,0", "1,1"])
+def test_classes_refuses_a_loop_edge(run, tmp_path, edge):
+    # a labeling file carries no edges, so an edge of itself used to pass
+    lpath = tmp_path / "lab.txt"
+    lpath.write_text("0: 0 1 2\n1: 0 2 4\n")
+    assert run("classes", "--labeling", str(lpath), "--edge", edge) == (
+        2, "", f"error: --edge joins two distinct vertices, got {edge!r}\n"
+    )
+
+
 # --- audit ----------------------------------------------------------------------
 
 

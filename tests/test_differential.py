@@ -52,6 +52,17 @@ The search also skips every difference map that puts more vertices on
 one difference than the window has labels for; the oracle has no such
 prune, and small windows on complete bipartite and cloned graphs, where
 the prune binds often, must agree too.
+
+The parsers check each line once and build ``Graph`` and ``Labeling``
+without the constructors' second validation pass; their oracle is the
+parse-then-validate path through ``graph(n, edges)`` and
+``Labeling({v: IntSet(...)})``.  On serialized random graphs and
+labelings, and on texts with lines duplicated, swapped, dropped, blanked
+or retokenised, both must give the same object (for graphs also the same
+neighbours of every vertex and the same hash) or the same ``ParseError``
+message and line number.  ``detect_ap`` compares a set with the range
+its first gap spans; its oracle is the gap loop, on singletons, pairs,
+near-progressions and elements above 2**64.
 """
 
 from __future__ import annotations
@@ -88,13 +99,18 @@ from iasi import (
     construct,
     detect_ap,
     graph,
+    parse_graph,
+    parse_labeling,
     search_identical_biarithmetic,
     serialize_audit,
+    serialize_graph,
+    serialize_labeling,
     sumset,
 )
 from iasi.compat import AUDITS, _class_histogram, _packed_indicator, _predict
 from iasi.construct import _certify
 from iasi.graphs import _traverse
+from iasi.io import ParseError
 
 from conftest import witness_pair
 
@@ -626,6 +642,96 @@ def naive_assign(g, diffs, sizes, seed):
     return _certify(
         g, Labeling({v: ap_set(base + (1 << v) - 1, diffs[v], sizes[v]) for v in g.vertices})
     )
+
+
+# --- parser oracles: check each line, then validate again on construction ------------
+
+
+def naive_parse_graph(text):
+    lines = text.splitlines()
+    if not lines or not lines[0].strip():
+        raise ParseError("expected header 'n m'", 1)
+    head = lines[0].split()
+    if len(head) != 2:
+        raise ParseError("expected header 'n m'", 1)
+    try:
+        n, m = int(head[0]), int(head[1])
+    except ValueError:
+        raise ParseError("header values must be integers", 1) from None
+    if n < 0 or m < 0:
+        raise ParseError("header values must be non-negative", 1)
+    edges = set()
+    for i, raw in enumerate(lines[1:], start=2):
+        if not raw.strip():
+            continue
+        parts = raw.split()
+        if len(parts) != 2:
+            raise ParseError("expected edge 'u v'", i)
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError("edge endpoints must be integers", i) from None
+        if u == v:
+            raise ParseError(f"self-loop at vertex {u}", i)
+        if not (0 <= u < n and 0 <= v < n):
+            raise ParseError(f"edge {u} {v} out of range for {n} vertices", i)
+        e = (min(u, v), max(u, v))
+        if e in edges:
+            raise ParseError(f"duplicate edge {u} {v}", i)
+        edges.add(e)
+    if len(edges) != m:
+        raise ParseError(f"header promised {m} edges, found {len(edges)}", len(lines))
+    return graph(n, edges)
+
+
+def naive_parse_labeling(text):
+    assignment = {}
+    last_vertex = -1
+    for i, raw in enumerate(text.splitlines(), start=1):
+        if not raw.strip():
+            continue
+        if ":" not in raw:
+            raise ParseError("expected 'v: e1 e2 ...'", i)
+        head, _, tail = raw.partition(":")
+        try:
+            v = int(head.strip())
+        except ValueError:
+            raise ParseError(f"vertex id {head.strip()!r} is not an integer", i) from None
+        if v in assignment:
+            raise ParseError(f"vertex {v} labeled twice", i)
+        if v <= last_vertex:
+            raise ParseError(f"vertex {v} out of ascending order", i)
+        last_vertex = v
+        parts = tail.split()
+        if not parts:
+            raise ParseError(f"vertex {v} has an empty label", i)
+        try:
+            elems = [int(p) for p in parts]
+        except ValueError:
+            raise ParseError("label elements must be integers", i) from None
+        for a, b in zip(elems, elems[1:]):
+            if b <= a:
+                raise ParseError(
+                    f"label elements must be strictly increasing, saw {a} then {b}", i
+                )
+        if elems[0] < 0:
+            raise ParseError("label elements must be non-negative", i)
+        assignment[v] = IntSet(tuple(elems))
+    return Labeling(assignment)
+
+
+# --- progression oracle: the gap loop -------------------------------------------------
+
+
+def naive_detect_ap(s):
+    e = s.elems if isinstance(s, IntSet) else IntSet(tuple(s)).elems
+    if len(e) == 1:
+        return (e[0], 0)
+    d = e[1] - e[0]
+    for i in range(2, len(e)):
+        if e[i] - e[i - 1] != d:
+            return None
+    return (e[0], d)
 
 
 # --- strategies -------------------------------------------------------------------
@@ -1185,3 +1291,118 @@ def test_sidon_pool_matches_doubling_pool(case):
         for v in g.vertices:
             assert detect_ap(lab.label(v))[1] == detect_ap(naive_lab.label(v))[1]
             assert len(lab.label(v)) == len(naive_lab.label(v))
+
+
+# --- parsers: one check per line, no second validation pass -----------------------------
+
+
+# tokens that break a line: negatives, non-digits, a float, a bare colon,
+# an empty token and a number past any vertex or element drawn here
+BAD_TOKENS = ["-1", "-0", "+2", "x", "1.5", ":", "0:", "", str(2**70)]
+
+
+@st.composite
+def mutated(draw, text):
+    """``text`` after a few line edits: a duplicated, swapped, dropped,
+    blank or retokenised line, where a new token is a bad one or one
+    copied from the text, which gives loops, out-of-range endpoints and
+    repeated or descending elements."""
+    lines = text.splitlines()
+    pool = BAD_TOKENS + [t for line in lines for t in line.split()]
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, max(len(lines) - 1, 0)))
+        edit = draw(st.sampled_from(["dup", "swap", "drop", "blank", "token"]))
+        if not lines or edit == "blank":
+            lines.insert(i, draw(st.sampled_from(["", " ", "\t"])))
+        elif edit == "dup":
+            lines.insert(i, lines[i])
+        elif edit == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif edit == "drop":
+            del lines[i]
+        else:
+            tokens = lines[i].split()
+            at = draw(st.integers(0, len(tokens)))
+            # a token of the same line often repeats or undercuts its neighbour
+            same_line = tokens and draw(st.booleans())
+            new = draw(st.sampled_from(tokens if same_line else pool))
+            if at < len(tokens) and draw(st.booleans()):
+                tokens[at] = new
+            else:
+                tokens.insert(at, new)
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\n\n"]))
+
+
+def parsed(parse, text):
+    try:
+        return ("returned", parse(text))
+    except ParseError as exc:
+        return ("raised", str(exc), exc.line_no)
+
+
+big_labels = st.builds(ap_set, st.integers(2**64, 2**66), st.integers(1, 2**65), st.integers(1, 4))
+labelings = st.dictionaries(
+    st.integers(0, 12), st.one_of(labels, big_labels), max_size=8
+).map(Labeling)
+
+graph_texts = graphs(max_n=10).flatmap(lambda g: mutated(serialize_graph(g)))
+labeling_texts = labelings.flatmap(lambda lab: mutated(serialize_labeling(lab)))
+
+
+@settings(max_examples=600, deadline=None)
+@given(graph_texts)
+@example("3 2\n0 1\n1 0\n")
+@example("3 2\n2 0\n\n1 2\n")
+@example("4 1\n0 4\n")
+@example("2 1\n1 1\n")
+def test_graph_parser_matches_parse_then_validate(text):
+    want, got = parsed(naive_parse_graph, text), parsed(parse_graph, text)
+    assert got == want
+    if got[0] == "returned":
+        g, ref = got[1], want[1]
+        assert hash(g) == hash(ref)
+        assert [g.neighbors(v) for v in g.vertices] == [ref.neighbors(v) for v in ref.vertices]
+
+
+@settings(max_examples=600, deadline=None)
+@given(labeling_texts)
+@example("0: 1 1\n")
+@example("0: 3 2\n")
+@example("0: -1 2\n")
+@example("\n2: 0 1\n\n5: 7\n")
+def test_labeling_parser_matches_parse_then_validate(text):
+    want, got = parsed(naive_parse_labeling, text), parsed(parse_labeling, text)
+    assert got == want
+    if got[0] == "returned":
+        items = lambda lab: [(v, type(s), s.elems) for v, s in lab.assignment.items()]
+        assert items(got[1]) == items(want[1])
+
+
+# --- progressions: one comparison against a range ------------------------------------
+
+
+@st.composite
+def near_progressions(draw):
+    """A progression, huge terms and differences included, with one
+    element moved by up to 3 half of the time."""
+    first = draw(st.one_of(st.integers(0, 50), st.integers(2**64, 2**70)))
+    d = draw(st.one_of(st.integers(1, 9), st.integers(2**64, 2**66)))
+    elems = [first + d * i for i in range(draw(st.integers(1, 8)))]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(elems) - 1))
+        elems[i] = max(0, elems[i] + draw(st.integers(-3, 3)))
+    return elems
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(near_progressions(), st.lists(st.integers(0, 2**70), min_size=1, max_size=6)))
+@example([7])
+@example([3, 2**65])
+@example([0, 1, 10**18])  # its range from the first gap would hold 10**18 terms
+@example([2**64, 2**64 + 3, 2**64 + 6])
+def test_detect_ap_matches_gap_loop(elems):
+    s = IntSet(tuple(elems))
+    assert detect_ap(s) == naive_detect_ap(s)
+    assert detect_ap(elems) == naive_detect_ap(s)
