@@ -2,10 +2,11 @@
 
 Vertices are the integers ``0 .. vertex_count-1``.  Edges are unordered
 pairs stored normalized as ``(min, max)``; each graph builds its sorted
-adjacency once, when it is created.  ``_freeze`` is the one place a
-Graph's edges and adjacency are set: ``Graph.__post_init__`` calls it
-after checking every edge, and ``io.parse_graph`` after checking every
-line, so a parsed graph is checked once, not a second time on creation.
+adjacency once, when it is created.  ``Graph._freeze`` is the one place
+a Graph's edges and adjacency are set: ``Graph.__post_init__`` calls it
+after checking every edge, and ``io.parse_graph`` reaches it through
+``Graph._from_checked`` after checking every line, so a parsed graph is
+checked once, not a second time on creation.
 One breadth-first traversal, roots and neighbours in ascending order,
 gives every component's visiting order and a 2-colouring, and
 components, bipartition sides and the search's vertex order all read
@@ -15,7 +16,7 @@ it, so each is reproducible bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional
+from typing import Collection, Iterable, NamedTuple, Optional
 
 from .sets import _require_ints
 
@@ -34,7 +35,6 @@ class Graph:
         if type(n) is not int or n < 0:
             raise ValueError("vertex count must be a non-negative integer")
         norm = set()
-        adjacency: list[list[int]] = [[] for _ in range(n)]
         for e in self.edges:
             u, v = e
             if type(u) is not int or type(v) is not int:
@@ -43,12 +43,30 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge {e} out of range for {n} vertices")
-            e = (u, v) if u < v else (v, u)
-            if e not in norm:
-                norm.add(e)
-                adjacency[u].append(v)
-                adjacency[v].append(u)
-        _freeze(self, n, norm, adjacency)
+            norm.add((u, v) if u < v else (v, u))
+        self._freeze(norm)
+
+    @classmethod
+    def _from_checked(cls, n: int, edges: Collection[Edge]) -> Graph:
+        """A Graph on n vertices from edges its caller has checked.
+
+        ``n`` must be a non-negative int and ``edges`` distinct
+        ``(min, max)`` pairs of distinct ints in ``range(n)``, which is
+        what ``__post_init__`` checks; nothing is checked here.
+        """
+        g = object.__new__(cls)
+        object.__setattr__(g, "vertex_count", n)
+        g._freeze(edges)
+        return g
+
+    def _freeze(self, edges: Collection[Edge]) -> None:
+        """Set edges and the sorted adjacency from checked, normalized edges."""
+        adjacency: list[list[int]] = [[] for _ in range(self.vertex_count)]
+        for u, v in edges:
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+        object.__setattr__(self, "edges", frozenset(edges))
+        object.__setattr__(self, "_adjacency", tuple(tuple(sorted(a)) for a in adjacency))
 
     @property
     def vertices(self) -> range:
@@ -68,19 +86,6 @@ class Graph:
 
     def isolated_vertices(self) -> tuple[int, ...]:
         return tuple(v for v in self.vertices if not self._adjacency[v])
-
-
-def _freeze(g: Graph, n: int, edges: set[Edge], adjacency: list[list[int]]) -> Graph:
-    """Set g's fields from checked edges and return g.
-
-    ``n`` must be a non-negative int, ``edges`` distinct ``(min, max)``
-    pairs of distinct ints in ``range(n)``, and ``adjacency[v]`` the
-    neighbours of v in any order.  Nothing is checked here.
-    """
-    object.__setattr__(g, "vertex_count", n)
-    object.__setattr__(g, "edges", frozenset(edges))
-    object.__setattr__(g, "_adjacency", tuple(tuple(sorted(a)) for a in adjacency))
-    return g
 
 
 def graph(vertex_count: int, edges: Iterable[Edge] = ()) -> Graph:

@@ -16,7 +16,7 @@ from collections.abc import Iterable, Mapping
 from typing import Optional
 
 from .compat import AuditRecord, ClassProfile
-from .graphs import Graph, _freeze
+from .graphs import Graph
 from .labeling import Labeling
 from .sets import IntSet
 from .verify import VerificationReport
@@ -50,8 +50,9 @@ def parse_graph(text: str) -> Graph:
         raise ParseError("header values must be integers", 1) from None
     if n < 0 or m < 0:
         raise ParseError("header values must be non-negative", 1)
-    edges: set[tuple[int, int]] = set()
-    adjacency: list[list[int]] = [[] for _ in range(n)]
+    # a dict, not a set, keeps the edges in file order: a canonical file lists
+    # them sorted, so every adjacency list is built in order and sorts in one pass
+    edges: dict[tuple[int, int], None] = {}
     for i, raw in enumerate(lines[1:], start=2):
         parts = raw.split()
         if not parts:
@@ -69,13 +70,11 @@ def parse_graph(text: str) -> Graph:
         e = (u, v) if u < v else (v, u)
         if e in edges:
             raise ParseError(f"duplicate edge {u} {v}", i)
-        edges.add(e)
-        adjacency[u].append(v)
-        adjacency[v].append(u)
+        edges[e] = None
     if len(edges) != m:
         raise ParseError(f"header promised {m} edges, found {len(edges)}", len(lines))
     # every check of Graph.__post_init__ has passed above, line by line
-    return _freeze(object.__new__(Graph), n, edges, adjacency)
+    return Graph._from_checked(n, edges)
 
 
 # --- labelings -----------------------------------------------------------
