@@ -43,10 +43,8 @@ from .graphs import (
     complete_bipartite,
     components,
     cycle,
-    disjoint_union,
     generate,
     graph,
-    induced_subgraph,
     path,
     star,
 )

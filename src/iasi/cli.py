@@ -4,8 +4,7 @@ Verbs: gen, label, verify, classes, audit, search.  Exit status is 0
 on success, 1 when a verification or search comes back negative, 2 on
 usage or input errors, 3 when a requested construction is infeasible.
 Ranges are written lo..hi (inclusive) and lists as comma-separated
-values; an empty range or list is a usage error.  --seed falls back to
-the IASI_SEED environment variable.
+values; an empty range or list is a usage error.  --seed defaults to 0.
 
 ``main`` builds its parser once per process, on its first call, and
 reuses it: parsing only reads the parser, and every argument default
@@ -18,7 +17,6 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -60,13 +58,6 @@ def _parse_values(text: str) -> list[int]:
     if not values:
         raise ValueError(f"{text!r} gives no values")
     return values
-
-
-def _resolve_seed(value: Optional[int]) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("IASI_SEED")
-    return int(env) if env else 0
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -111,7 +102,7 @@ def _cmd_label(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     fields = {"sizes": sizes, "ratio": args.k, "edge_size": args.r}
     lab = construct(
-        g, args.kind, diff=args.d, seed=_resolve_seed(args.seed),
+        g, args.kind, diff=args.d, seed=args.seed,
         **{name: value for name, value in fields.items() if value is not None},
     )
     if args.format == "dot":
@@ -230,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, help="x-side label size")
     p.add_argument("--n", type=int, help="y-side label size")
     p.add_argument("--r", type=int, help="edge cardinality for componentwise_uniform")
-    p.add_argument("--seed", type=int, help="label offset; only the seed mod 1000 is used")
+    p.add_argument("--seed", type=int, default=0, help="label offset; only the seed mod 1000 is used")
     p.add_argument("--format", default="labeling", choices=["labeling", "dot"])
     p.add_argument("--out")
     p.set_defaults(func=_cmd_label)

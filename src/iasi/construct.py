@@ -339,17 +339,10 @@ def construct_componentwise_uniform(
 # --- one-call dispatcher -------------------------------------------------
 
 
-def _uniform_isoarithmetic(g: Graph, sizes: int, diff: int = 1, seed: int = 0) -> Labeling:
-    if not isinstance(sizes, int):
-        raise ValueError("uniform_isoarithmetic takes one integer size")
-    return construct_isoarithmetic(g, diff=diff, sizes=sizes, seed=seed)
-
-
 # every construction kind and its builder, in the order ``iasi label
 # --kind`` lists them; the builder's signature says what the kind reads
 KINDS: dict[str, Callable[..., Labeling]] = {
     "isoarithmetic": construct_isoarithmetic,
-    "uniform_isoarithmetic": _uniform_isoarithmetic,
     "bipartite_uniform_isoarithmetic": construct_bipartite_uniform_isoarithmetic,
     "biarithmetic": construct_biarithmetic,
     "identical_biarithmetic": construct_identical_biarithmetic,

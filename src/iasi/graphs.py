@@ -213,29 +213,3 @@ def generate(kind: str, n: int | None = None, m: int | None = None) -> Graph:
     if m is not None and "m" not in reads:
         raise ValueError(f"kind {kind!r} does not read --m")
     return build(*map({"m": m, "n": n}.get, reads))
-
-
-# --- combination and restriction ---------------------------------------
-
-
-def disjoint_union(a: Graph, b: Graph) -> Graph:
-    """Place b after a, shifting b's vertex ids by a.vertex_count."""
-    shift = a.vertex_count
-    edges = list(a.edges) + [(u + shift, v + shift) for u, v in b.edges]
-    return graph(shift + b.vertex_count, edges)
-
-
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
-    """Subgraph on the given vertices, renumbered 0.. in ascending order.
-
-    The renumbering convention (sorted position) matches
-    ``Labeling.restrict`` so a labeling restricted to the same vertex
-    set stays aligned with the subgraph.
-    """
-    keep = sorted(set(vertices))
-    for v in keep:
-        if not 0 <= v < g.vertex_count:
-            raise ValueError(f"vertex {v} out of range")
-    renum = {v: i for i, v in enumerate(keep)}
-    edges = [(renum[u], renum[v]) for u, v in g.edges if u in renum and v in renum]
-    return graph(len(keep), edges)

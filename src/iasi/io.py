@@ -1,16 +1,17 @@
 """Text formats: edge lists, labelings, reports, audits, DOT export.
 
 Serializers emit one canonical form (vertices ascending, edges sorted,
-elements ascending) and the parsers accept exactly that shape, so
-parse(serialize(x)) == x and any drift is a loud error with a line
-number rather than a silent renumbering.  The parsers check each line
-once and build the ``Graph`` or ``Labeling`` from what they checked,
-without the second validation pass of the public constructors.
+elements ascending).  Parsers accept it plus blank lines, extra
+whitespace and leading zeros, so parse(serialize(x)) == x, and refuse
+any other drift with a line number, signs, '_' and non-ASCII characters
+included.  They check each line once and build what they checked
+without the constructors' second validation pass.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import sys
 from collections import Counter
 from collections.abc import Iterable, Mapping
 from typing import Optional
@@ -28,6 +29,24 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
+def _int_error(message: str, tokens: list[str], line_no: int) -> ParseError:
+    """``message``, or Python's digit limit when a token of ASCII digits is over it."""
+    limit = sys.get_int_max_str_digits()  # 0 when there is none
+    for t in tokens:
+        if t.isascii() and t.isdigit() and len(t) > limit > 0:
+            return ParseError(f"integer of {len(t)} digits is over Python's {limit}-digit limit", line_no)
+    return ParseError(message, line_no)
+
+
+def _check_plain_digits(text: str) -> None:
+    """Raise at the first line with a sign, '_' or non-ASCII: int() reads them.  Call it last."""
+    if not text.isascii() or "+" in text or "-" in text or "_" in text:
+        for i, raw in enumerate(text.splitlines(keepends=True), start=1):
+            bad = [c for c in raw if c in "+-_" or not c.isascii()]
+            if bad:
+                raise ParseError(f"found {bad[0]!r}: integers are plain ASCII digits, no sign or '_'", i)
+
+
 # --- graphs --------------------------------------------------------------
 
 
@@ -39,15 +58,13 @@ def serialize_graph(g: Graph) -> str:
 
 def parse_graph(text: str) -> Graph:
     lines = text.splitlines()
-    if not lines or not lines[0].strip():
-        raise ParseError("expected header 'n m'", 1)
-    head = lines[0].split()
+    head = lines[0].split() if lines else []
     if len(head) != 2:
         raise ParseError("expected header 'n m'", 1)
     try:
         n, m = int(head[0]), int(head[1])
     except ValueError:
-        raise ParseError("header values must be integers", 1) from None
+        raise _int_error("header values must be integers", head, 1) from None
     if n < 0 or m < 0:
         raise ParseError("header values must be non-negative", 1)
     # a dict, not a set, keeps the edges in file order: a canonical file lists
@@ -62,7 +79,7 @@ def parse_graph(text: str) -> Graph:
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            raise ParseError("edge endpoints must be integers", i) from None
+            raise _int_error("edge endpoints must be integers", parts, i) from None
         if u == v:
             raise ParseError(f"self-loop at vertex {u}", i)
         if not (0 <= u < n and 0 <= v < n):
@@ -73,6 +90,7 @@ def parse_graph(text: str) -> Graph:
         edges[e] = None
     if len(edges) != m:
         raise ParseError(f"header promised {m} edges, found {len(edges)}", len(lines))
+    _check_plain_digits(text)
     # every check of Graph.__post_init__ has passed above, line by line
     return Graph._from_checked(n, edges)
 
@@ -97,7 +115,7 @@ def parse_labeling(text: str) -> Labeling:
         try:
             v = int(head.strip())
         except ValueError:
-            raise ParseError(f"vertex id {head.strip()!r} is not an integer", i) from None
+            raise _int_error(f"vertex id {head.strip()!r} is not an integer", [head.strip()], i) from None
         if v in assignment:
             raise ParseError(f"vertex {v} labeled twice", i)
         if v <= last_vertex:
@@ -109,7 +127,7 @@ def parse_labeling(text: str) -> Labeling:
         try:
             elems = tuple(map(int, parts))
         except ValueError:
-            raise ParseError("label elements must be integers", i) from None
+            raise _int_error("label elements must be integers", parts, i) from None
         if not all(map(int.__lt__, elems, elems[1:])):
             for a, b in zip(elems, elems[1:]):
                 if b <= a:
@@ -119,6 +137,7 @@ def parse_labeling(text: str) -> Labeling:
         if elems[0] < 0:
             raise ParseError("label elements must be non-negative", i)
         assignment[v] = IntSet._from_sorted(elems)
+    _check_plain_digits(text)
     # ids are non-negative ints in ascending order, labels checked above
     return Labeling._from_sorted(assignment)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
-from .sets import IntSet, Ints, as_intset, sumset
+from .sets import IntSet, as_intset, sumset
 
 
 class MissingLabelError(Exception):
@@ -66,15 +66,6 @@ class Labeling:
 
     def __contains__(self, v: object) -> bool:
         return v in self.assignment
-
-    def restrict(self, vertices: Ints) -> "Labeling":
-        """Restriction to a vertex subset, renumbered by sorted position.
-
-        Mirrors ``graphs.induced_subgraph`` so the pair stays aligned.
-        """
-        keep = sorted(set(vertices))
-        return Labeling({i: self.label(v) for i, v in enumerate(keep)})
-
 
 def edge_label(lab: Labeling, u: int, v: int) -> IntSet:
     """The induced label of edge uv: the sumset of the endpoint labels."""

@@ -68,10 +68,6 @@ class IntSet:
         return "{" + ",".join(str(x) for x in self.elems) + "}"
 
     @property
-    def min(self) -> int:
-        return self.elems[0]
-
-    @property
     def max(self) -> int:
         return self.elems[-1]
 

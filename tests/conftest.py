@@ -19,6 +19,13 @@ def random_graph(rng: random.Random, max_n: int = 10, p: float = 0.4) -> Graph:
     return graph(n, edges)
 
 
+def disjoint_union(a: Graph, b: Graph) -> Graph:
+    """a, then b with its vertex ids shifted by a.vertex_count."""
+    shift = a.vertex_count
+    edges = [*a.edges, *((u + shift, v + shift) for u, v in b.edges)]
+    return graph(shift + b.vertex_count, edges)
+
+
 def witness_pair(m: int, n: int, k: int = 1, diff: int = 1) -> tuple[IntSet, IntSet]:
     """The audit's witness labels as sets: AP(0, diff, m) and AP(0, k*diff, n)."""
     return ap_set(0, diff, m), ap_set(0, k * diff, n)

@@ -24,7 +24,6 @@ from iasi import (
     construct_strong_biarithmetic,
     cycle,
     detect_ap,
-    disjoint_union,
     edge_label,
     parse_labeling,
     path,
@@ -35,7 +34,7 @@ from iasi import (
     sumset,
     bipartition,
 )
-from conftest import random_arith_labeling, random_graph, witness_pair
+from conftest import disjoint_union, random_arith_labeling, random_graph, witness_pair
 
 
 def report(n: int, text: str) -> None:

@@ -2,12 +2,13 @@
 
 The surface is every re-exported name, and every public method and
 property of a re-exported class.  A name counts as used when code
-outside the package's ``__init__.py`` reads it: a name or attribute
-load in ``src/iasi/``, ``demos/`` or ``bench/``, or one of the function
-names that ``bench/spans.py`` traces through its ``TARGETS`` table.
-Definitions, imports, docstrings and comments do not count, and tests
-are not users.  A name used only by tests goes, unless it is listed in
-``KEPT`` as an ordinary graph or labeling operation kept on purpose.
+outside the package's ``__init__.py`` reads it in ``src/iasi/``,
+``demos/`` or ``bench/``, or when ``bench/spans.py`` traces it through
+its ``TARGETS`` table.  A re-exported name is read by a name or an
+attribute load; a method or property only by an attribute load, so the
+builtin ``min`` is no use of a ``min`` property.  Definitions, imports,
+docstrings and comments do not count, and tests are not users: a name
+used only by tests goes.
 """
 
 from __future__ import annotations
@@ -20,10 +21,6 @@ import iasi
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "iasi"
-
-# used only by tests, and kept as ordinary graph and labeling operations;
-# Labeling.restrict is the labeling half of induced_subgraph
-KEPT = {"disjoint_union", "induced_subgraph", "restrict"}
 
 
 def _exported() -> set[str]:
@@ -51,14 +48,15 @@ def _members(names: set[str]) -> set[str]:
     return members
 
 
-def _loaded(tree: ast.AST) -> set[str]:
-    names = set()
+def _loaded(tree: ast.AST) -> tuple[set[str], set[str]]:
+    """The names and the attribute names that ``tree`` loads."""
+    names, attrs = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            names.add(node.attr)
-    return names
+            attrs.add(node.attr)
+    return names, attrs
 
 
 def _traced(tree: ast.AST) -> set[str]:
@@ -68,24 +66,31 @@ def _traced(tree: ast.AST) -> set[str]:
     raise AssertionError("bench/spans.py has no TARGETS table")
 
 
-def _used() -> set[str]:
+def _used() -> tuple[set[str], set[str]]:
+    """Names read by a name load, and names read as an attribute or traced."""
     files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     files += sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
-    used: set[str] = set()
+    names: set[str] = set()
+    attrs: set[str] = set()
     for path in files:
         tree = ast.parse(path.read_text())
-        used |= _loaded(tree)
+        loaded_names, loaded_attrs = _loaded(tree)
+        names |= loaded_names
+        attrs |= loaded_attrs
         if path == ROOT / "bench" / "spans.py":
-            used |= _traced(tree)
-    return used
+            attrs |= _traced(tree)
+    return names, attrs
 
 
 def test_every_export_has_a_user_outside_the_tests():
     # a definition, an import or a docstring is no use
     probe = ast.parse('"""uses f"""\ndef f(): pass\nimport g\nx = 1\nh()\ny.z\n')
-    assert _loaded(probe) == {"h", "y", "z"}
+    assert _loaded(probe) == ({"h", "y"}, {"z"})
     exported = _exported()
-    public = exported | _members(exported)
-    assert {"neighbors", "vertices", "min"} <= public
-    assert KEPT <= public
-    assert sorted(public - KEPT - _used()) == []
+    members = _members(exported)
+    assert {"neighbors", "vertices", "max"} <= members
+    names, attrs = _used()
+    assert sorted(exported - names - attrs) == []
+    # a method or property is read as an attribute: a bare name such as
+    # the builtin min or max is no use of it
+    assert sorted(members - attrs) == []

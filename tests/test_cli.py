@@ -209,7 +209,6 @@ def test_every_label_flag_fills_a_spec_field(tmp_path, monkeypatch):
         raise ValueError("recorded")
 
     monkeypatch.setattr(cli, "construct", record)
-    monkeypatch.delenv("IASI_SEED", raising=False)
     argv = ["label", "--graph", gpath, "--kind", "isoarithmetic"]
     assert main(argv) == 2
     assert calls == [{"diff": 1, "seed": 0}]
@@ -254,17 +253,26 @@ def test_label_missing_graph_file(run, tmp_path):
     assert code == 2 and "error:" in err
 
 
-def test_label_seed_flag_and_env_agree(run, tmp_path, monkeypatch):
+def test_label_seed_comes_from_the_flag_alone(run, tmp_path, monkeypatch):
     gpath = write_graph(tmp_path, path(4))
-    _, by_flag, _ = run(
-        "label", "--graph", gpath, "--kind", "isoarithmetic", "--seed", "77"
-    )
+    argv = ["label", "--graph", gpath, "--kind", "isoarithmetic"]
+    by_default = run(*argv)
+    assert by_default[0] == 0
+    assert run(*argv, "--seed", "0") == by_default
+    assert run(*argv, "--seed", "77") != by_default
+    # the environment is no second way to set the seed
     monkeypatch.setenv("IASI_SEED", "77")
-    _, by_env, _ = run("label", "--graph", gpath, "--kind", "isoarithmetic")
-    assert by_flag == by_env
-    monkeypatch.delenv("IASI_SEED")
-    _, by_default, _ = run("label", "--graph", gpath, "--kind", "isoarithmetic")
-    assert by_default != by_flag
+    assert run(*argv) == by_default
+
+
+def test_label_kind_uniform_isoarithmetic_is_gone(run, tmp_path):
+    # one integer size to every vertex is --kind isoarithmetic --sizes N
+    gpath = write_graph(tmp_path, path(4))
+    with pytest.raises(SystemExit) as exc:
+        run("label", "--graph", gpath, "--kind", "uniform_isoarithmetic", "--sizes", "4")
+    assert exc.value.code == 2
+    code, out, _ = run("label", "--graph", gpath, "--kind", "isoarithmetic", "--sizes", "4")
+    assert code == 0 and out.startswith("0: 0 1 2 3\n")
 
 
 def test_label_dot_format_annotates_edges(run, tmp_path):

@@ -35,7 +35,6 @@ from iasi import (
     construct_isoarithmetic,
     construct_strong_biarithmetic,
     cycle,
-    disjoint_union,
     edge_label,
     generate,
     graph,
@@ -45,7 +44,7 @@ from iasi import (
     star,
 )
 from iasi.cli import build_parser
-from conftest import random_graph
+from conftest import disjoint_union, random_graph
 
 # the package exports the construct() dispatcher under the module's name
 construct_module = importlib.import_module("iasi.construct")
@@ -245,14 +244,14 @@ LEAST_PRIME = {1: 2, 2: 2, 3: 3, 4: 5, 5: 5, 6: 7, 7: 7, 8: 11, 9: 11}
 
 def test_default_pool_needs_no_repair():
     lab = construct_isoarithmetic(path(4), diff=2, sizes=3, seed=2005)
-    assert [lab.label(v).min for v in range(4)] == [5, 16, 29, 39]  # 5 + (0, 11, 24, 34)
+    assert [lab.label(v)[0] for v in range(4)] == [5, 16, 29, 39]  # 5 + (0, 11, 24, 34)
     rng = random.Random(3)
     for _ in range(30):
         g = random_graph(rng, max_n=9, p=0.5)
         seed = rng.randint(0, 10_000)
         lab = construct_isoarithmetic(g, diff=rng.randint(1, 5), sizes=3, seed=seed)
         base, p = seed % 1000, LEAST_PRIME[g.vertex_count]
-        assert [lab.label(v).min for v in g.vertices] == [
+        assert [lab.label(v)[0] for v in g.vertices] == [
             base + 2 * p * v + v * v % p for v in g.vertices
         ]
 
@@ -260,7 +259,7 @@ def test_default_pool_needs_no_repair():
 def test_first_terms_are_sidon():
     for n in range(1, 301):
         lab = construct_isoarithmetic(graph(n, []), sizes=3)
-        firsts = [lab.label(v).min for v in range(n)]
+        firsts = [lab.label(v)[0] for v in range(n)]
         sums = [a + b for i, a in enumerate(firsts) for b in firsts[i + 1:]]
         assert len(set(sums)) == len(sums), n
 
@@ -336,7 +335,6 @@ def test_cli_sparse_outputs_stay_seven_digits():
 # and the report flag it must set
 EVERY_KIND = [
     ("isoarithmetic", {"diff": 2}, "isoarithmetic"),
-    ("uniform_isoarithmetic", {"sizes": 4}, "isoarithmetic"),
     ("bipartite_uniform_isoarithmetic", {"sizes": (3, 4)}, "isoarithmetic"),
     ("biarithmetic", {"ratio": 2}, "biarithmetic"),
     ("identical_biarithmetic", {"ratio": 2, "sizes": (3, 3)}, "biarithmetic"),
@@ -384,7 +382,6 @@ def test_construct_dispatcher_rejects_bad_specs():
     # here rather than read from the builders it checks
     reads = {
         "isoarithmetic": ((), ("sizes",)),
-        "uniform_isoarithmetic": (("sizes",), ()),
         "bipartite_uniform_isoarithmetic": (("sizes",), ()),
         "biarithmetic": ((), ("ratio", "sizes")),
         "identical_biarithmetic": (("ratio",), ("sizes",)),
@@ -411,8 +408,6 @@ def test_construct_dispatcher_rejects_bad_specs():
                 assert "does not read" not in str(exc), exc
     with pytest.raises(ValueError, match="^isoarithmetic does not read foo$"):
         construct(g, "isoarithmetic", foo=1)
-    with pytest.raises(ValueError):
-        construct(g, "uniform_isoarithmetic", sizes=(3, 4))
     with pytest.raises(ValueError):
         construct(g, "bipartite_uniform_isoarithmetic", sizes=3)
 

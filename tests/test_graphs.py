@@ -18,14 +18,12 @@ from iasi import (
     complete_bipartite,
     components,
     cycle,
-    disjoint_union,
     generate,
     graph,
-    induced_subgraph,
     path,
     star,
 )
-from conftest import random_graph
+from conftest import disjoint_union, random_graph
 
 
 def has_odd_closed_walk(g) -> bool:
@@ -156,16 +154,3 @@ def test_bipartition_separates_every_edge():
         assert b.side_x | b.side_y == set(g.vertices) and not b.side_x & b.side_y
         for u, v in g.edges:
             assert (u in b.side_x) != (v in b.side_x)
-
-
-# --- restriction -------------------------------------------------------------------
-
-
-def test_induced_subgraph_renumbers_sorted():
-    g = cycle(5)
-    h = induced_subgraph(g, [4, 0, 1])
-    # 0->0, 1->1, 4->2; surviving edges 0-1 and 4-0
-    assert h.vertex_count == 3
-    assert h.edge_list() == [(0, 1), (0, 2)]
-    with pytest.raises(ValueError):
-        induced_subgraph(g, [7])

@@ -1,13 +1,15 @@
 """Serialization round-trips and frozen renderings.
 
-Parsers accept exactly what the serializers emit; every rejection case
-asserts the reported line number.
+Parsers accept what the serializers emit plus blank lines, extra
+whitespace and leading zeros; every rejection case asserts the reported
+line number.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import random
+import sys
 import weakref
 from itertools import product
 
@@ -120,6 +122,65 @@ def test_labeling_parse_errors_carry_line_numbers(text, line_no):
     with pytest.raises(ParseError) as exc:
         parse_labeling(text)
     assert exc.value.line_no == line_no
+
+
+# --- integer tokens ------------------------------------------------------------
+
+
+def test_parsers_accept_leading_zeros_and_extra_whitespace():
+    assert parse_graph("02  01\n\n 00\t01 \n") == path(2)
+    assert parse_labeling("00:  01 \t002\n\n") == Labeling({0: (1, 2)})
+
+
+# what int() reads but the format never writes, each at the line it is on
+@pytest.mark.parametrize(
+    "parse, text, line_no, found",
+    [
+        (parse_graph, "2 1\n-0 +1\n", 2, "-"),
+        (parse_graph, "+2 1\n0 1\n", 1, "+"),
+        (parse_graph, "11 1\n0 1_0\n", 2, "_"),
+        (parse_graph, "2 1\n0 \u0661\n", 2, "\u0661"),
+        (parse_graph, "2 1\n0 1\n\u3000\n", 3, "\u3000"),
+        (parse_graph, "2 1\u20280 1\n", 1, "\u2028"),
+        (parse_labeling, "0: +1 1_0 \u0663\u0663\n", 1, "+"),
+        (parse_labeling, "0: 1 2 3\n1: -0 5\n", 2, "-"),
+        (parse_labeling, "-0: 1 2 3\n", 1, "-"),
+        (parse_labeling, "0: 1 2\xa03\n", 1, "\xa0"),
+    ],
+)
+def test_parsers_refuse_signs_underscores_and_non_ascii(parse, text, line_no, found):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert exc.value.line_no == line_no
+    assert str(exc.value) == (
+        f"line {line_no}: found {found!r}: integers are plain ASCII digits, no sign or '_'"
+    )
+
+
+def test_every_other_check_comes_before_the_sign_check():
+    # the error a line would get without the sign check still wins
+    with pytest.raises(ParseError, match="^line 3: edge endpoints must be integers$"):
+        parse_graph("3 1\n+0 1\n0 x\n")
+    with pytest.raises(ParseError, match="^line 2: label elements must be integers$"):
+        parse_labeling("0: +1 2 3\n1: x\n")
+
+
+def test_integers_over_the_digit_limit_name_it():
+    limit = sys.get_int_max_str_digits()
+    huge = "1" * 5000
+    over = f"integer of 5000 digits is over Python's {limit}-digit limit"
+    for parse, text, line_no in [
+        (parse_labeling, f"0: 1 {huge}\n", 1),
+        (parse_labeling, f"{huge}: 1 2 3\n", 1),
+        (parse_graph, f"3 1\n0 {huge}\n", 2),
+        (parse_graph, f"{huge} 0\n", 1),
+    ]:
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == f"line {line_no}: {over}"
+    # only a run of plain digits names the limit
+    with pytest.raises(ParseError, match="^line 1: label elements must be integers$"):
+        parse_labeling(f"0: 1 {huge}x\n")
 
 
 # --- value rendering ---------------------------------------------------------

@@ -52,14 +52,6 @@ def test_same_index_edges_are_progressions_again():
         assert got is not None and got[1] == d
 
 
-def test_restrict_renumbers_like_induced_subgraph():
-    lab = Labeling({0: (0, 1), 2: (2, 3), 5: (4, 5)})
-    sub = lab.restrict([5, 0])
-    assert sub.vertices() == (0, 1)
-    assert sub.label(0).elems == (0, 1)
-    assert sub.label(1).elems == (4, 5)
-
-
 def test_labeling_validates_and_sorts():
     lab = Labeling({3: (5, 1), 0: (2,)})
     assert lab.vertices() == (0, 3)
