@@ -27,8 +27,8 @@ a default must be passed, and one the builder lacks raises ValueError
 rather than being dropped.
 
 The exhaustive search keys labels by (first, diff, size) and edges by
-(a + b, d, m + k*(n - 1)), the sumset of (a, d, m) and (b, k*d, n) when
-k <= m; only the witness is built as sets.  It places twins, vertices
+the triple ``sets.ap_sum`` gives for the sum of their endpoints' labels;
+only the witness is built as sets.  It places twins, vertices
 with the same neighbours, in ascending order, so it sweeps each labeling
 once rather than once per order of the twins, and the witness it
 returns is still the least one in its window.  It also skips every
@@ -49,7 +49,7 @@ from typing import Optional
 
 from .graphs import Bipartition, Graph, _traverse, bipartition
 from .labeling import Labeling
-from .sets import _require_ints, ap_set
+from .sets import _require_ints, ap_set, ap_sum
 from .verify import classify
 
 
@@ -480,7 +480,7 @@ def search_identical_biarithmetic(g: Graph, bound: SearchBound = SearchBound()) 
         if ratio > bound.sizes[-1]:
             break
         for diffs in _diff_assignments(g, order, twin, ratio, bound):
-            witness = _fill_labels(g, order, twin, diffs, ratio, bound)
+            witness = _fill_labels(g, order, twin, diffs, bound)
             if witness is not None:
                 return _certify(g, witness, ratio)
     return None
@@ -539,17 +539,15 @@ def _fill_labels(
     order: list[int],
     twin: dict[int, int],
     diffs: dict[int, int],
-    ratio: int,
     bound: SearchBound,
 ) -> Optional[Labeling]:
     """Depth-first completion with sizes and first terms ascending.
 
-    Vertex keys are label triples (first, diff, size).  The edge key is
-    (first_u + first_v, smaller diff, m + ratio*(n - 1)), with m the size
-    of the smaller-difference endpoint: the triple of the sumset, valid
-    only when ratio <= m, so each neighbour's bound check comes before
-    its key.  Two edges at one vertex share a key only if their other
-    endpoints share a label, so new keys need no check among themselves.
+    Vertex keys are label triples (first, diff, size) and an edge's key
+    is ``ap_sum`` of its endpoints' triples; a ratio above the size gives
+    None, which rejects the candidate as a repeated key does.  Two edges
+    at one vertex share a key only if their other endpoints share a
+    label, so new keys need no check among themselves.
     A vertex whose earlier twin has the same difference takes only a
     (size, first) strictly above the twin's.
     """
@@ -575,10 +573,9 @@ def _fill_labels(
                 if key in labels.values():
                     continue
                 new_edges = []
-                for b, e, n in placed:
-                    lo, hi = (size, n) if d < e else (n, size)
-                    edge = (first + b, min(d, e), lo + ratio * (hi - 1))
-                    if ratio > lo or edge in edge_keys:
+                for other in placed:
+                    edge = ap_sum(key, other)
+                    if edge is None or edge in edge_keys:
                         break
                     new_edges.append(edge)
                 else:

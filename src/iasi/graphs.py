@@ -1,12 +1,12 @@
 """Finite simple undirected graphs with deterministic vertex numbering.
 
 Vertices are the integers ``0 .. vertex_count-1``.  Edges are unordered
-pairs stored normalized as ``(min, max)``; each graph builds its sorted
-adjacency once, when it is created.  ``Graph._freeze`` is the one place
-a Graph's edges and adjacency are set: ``Graph.__post_init__`` calls it
-after checking every edge, and ``io.parse_graph`` reaches it through
-``Graph._from_checked`` after checking every line, so a parsed graph is
-checked once, not a second time on creation.
+pairs stored normalized as ``(min, max)`` in one tuple, sorted once,
+so every reader walks them in one order.  ``Graph._freeze`` is the one
+place a Graph's edges and adjacency are set: ``Graph.__post_init__``
+calls it after checking every edge, and ``io.parse_graph`` reaches it
+through ``Graph._from_checked`` after checking every line, so a parsed
+graph is checked once, not a second time on creation.
 One breadth-first traversal, roots and neighbours in ascending order,
 gives every component's visiting order and a 2-colouring, and
 components, bipartition sides and the search's vertex order all read
@@ -16,7 +16,7 @@ it, so each is reproducible bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Collection, Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .sets import _require_ints
 
@@ -26,15 +26,16 @@ Edge = tuple[int, int]
 @dataclass(frozen=True)
 class Graph:
     vertex_count: int
-    edges: frozenset[Edge]
-    # sorted neighbours of each vertex, derived from edges
+    edges: tuple[Edge, ...]
+    # ascending neighbours of each vertex, derived from edges
     _adjacency: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         n = self.vertex_count
         if type(n) is not int or n < 0:
             raise ValueError("vertex count must be a non-negative integer")
-        norm = set()
+        # a dict keeps the caller's order: edges given sorted sort in linear time
+        norm: dict[Edge, None] = {}
         for e in self.edges:
             u, v = e
             if type(u) is not int or type(v) is not int:
@@ -43,11 +44,11 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge {e} out of range for {n} vertices")
-            norm.add((u, v) if u < v else (v, u))
+            norm[(u, v) if u < v else (v, u)] = None
         self._freeze(norm)
 
     @classmethod
-    def _from_checked(cls, n: int, edges: Collection[Edge]) -> Graph:
+    def _from_checked(cls, n: int, edges: Iterable[Edge]) -> Graph:
         """A Graph on n vertices from edges its caller has checked.
 
         ``n`` must be a non-negative int and ``edges`` distinct
@@ -59,14 +60,16 @@ class Graph:
         g._freeze(edges)
         return g
 
-    def _freeze(self, edges: Collection[Edge]) -> None:
-        """Set edges and the sorted adjacency from checked, normalized edges."""
+    def _freeze(self, edges: Iterable[Edge]) -> None:
+        """Set the sorted edges and the adjacency from checked, normalized edges."""
+        edges = tuple(sorted(edges))
+        # x's edges (w, x), w < x, sort before its edges (x, w): neighbours append ascending
         adjacency: list[list[int]] = [[] for _ in range(self.vertex_count)]
         for u, v in edges:
             adjacency[u].append(v)
             adjacency[v].append(u)
-        object.__setattr__(self, "edges", frozenset(edges))
-        object.__setattr__(self, "_adjacency", tuple(tuple(sorted(a)) for a in adjacency))
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_adjacency", tuple(map(tuple, adjacency)))
 
     @property
     def vertices(self) -> range:
@@ -75,9 +78,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def edge_list(self) -> list[Edge]:
-        return sorted(self.edges)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         if not 0 <= v < self.vertex_count:
@@ -89,8 +89,8 @@ class Graph:
 
 
 def graph(vertex_count: int, edges: Iterable[Edge] = ()) -> Graph:
-    """Build a Graph from any iterable of vertex pairs."""
-    return Graph(vertex_count, frozenset(tuple(e) for e in edges))
+    """Build a Graph from any iterable of vertex pairs, in any order and orientation."""
+    return Graph(vertex_count, tuple(map(tuple, edges)))
 
 
 # --- traversal ---------------------------------------------------------

@@ -4,13 +4,17 @@ Serializers emit one canonical form (vertices ascending, edges sorted,
 elements ascending).  Parsers accept it plus blank lines, extra
 whitespace and leading zeros, so parse(serialize(x)) == x, and refuse
 any other drift with a line number, signs, '_' and non-ASCII characters
-included.  They check each line once and build what they checked
-without the constructors' second validation pass.
+included.  A line ends at a newline, with or without a carriage return
+before it, and at no other ASCII character: every other ASCII control
+character but tab is refused before any line is read, so line numbers
+are the ones an editor shows.  They check each line once and build what
+they checked without the constructors' second validation pass.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import re
 import sys
 from collections import Counter
 from collections.abc import Iterable, Mapping
@@ -38,6 +42,25 @@ def _int_error(message: str, tokens: list[str], line_no: int) -> ParseError:
     return ParseError(message, line_no)
 
 
+_NOT_CONTROL = bytes(range(32, 127)) + b"\t\n\r"
+
+
+def _check_controls(text: str) -> None:
+    """Raise at the first ASCII control character but tab, '\\n' and '\\r\\n'.  Call it first.
+
+    A text without one costs two whole-text scans; only a text with one is searched.
+    """
+    if text.encode("ascii", "replace").translate(None, _NOT_CONTROL) or (
+        "\r" in text and text.count("\r") != text.count("\r\n")
+    ):
+        found = re.search(r"[\x00-\x08\x0b\x0c\x0e-\x1f\x7f]|\r(?!\n)", text)
+        raise ParseError(
+            f"found {found.group()!r}: lines end at '\\n' or '\\r\\n', and tab is the only "
+            "other control character",
+            text.count("\n", 0, found.start()) + 1,
+        )
+
+
 def _check_plain_digits(text: str) -> None:
     """Raise at the first line with a sign, '_' or non-ASCII: int() reads them.  Call it last."""
     if not text.isascii() or "+" in text or "-" in text or "_" in text:
@@ -52,11 +75,12 @@ def _check_plain_digits(text: str) -> None:
 
 def serialize_graph(g: Graph) -> str:
     lines = [f"{g.vertex_count} {g.edge_count}"]
-    lines += [f"{u} {v}" for u, v in g.edge_list()]
+    lines += [f"{u} {v}" for u, v in g.edges]
     return "\n".join(lines) + "\n"
 
 
 def parse_graph(text: str) -> Graph:
+    _check_controls(text)
     lines = text.splitlines()
     head = lines[0].split() if lines else []
     if len(head) != 2:
@@ -68,7 +92,7 @@ def parse_graph(text: str) -> Graph:
     if n < 0 or m < 0:
         raise ParseError("header values must be non-negative", 1)
     # a dict, not a set, keeps the edges in file order: a canonical file lists
-    # them sorted, so every adjacency list is built in order and sorts in one pass
+    # them sorted, so the graph sorts them in linear time
     edges: dict[tuple[int, int], None] = {}
     for i, raw in enumerate(lines[1:], start=2):
         parts = raw.split()
@@ -104,6 +128,7 @@ def serialize_labeling(lab: Labeling) -> str:
 
 
 def parse_labeling(text: str) -> Labeling:
+    _check_controls(text)
     assignment: dict[int, IntSet] = {}
     last_vertex = -1
     for i, raw in enumerate(text.splitlines(), start=1):
@@ -115,7 +140,10 @@ def parse_labeling(text: str) -> Labeling:
         try:
             v = int(head.strip())
         except ValueError:
-            raise _int_error(f"vertex id {head.strip()!r} is not an integer", [head.strip()], i) from None
+            vid = head.strip()
+            # a fixed prefix, so the message stays short whatever the line holds
+            shown = repr(vid) if len(vid) <= 32 else f"{vid[:32]!r}..."
+            raise _int_error(f"vertex id {shown} is not an integer", [vid], i) from None
         if v in assignment:
             raise ParseError(f"vertex {v} labeled twice", i)
         if v <= last_vertex:
@@ -333,7 +361,7 @@ def export_dot(g: Graph, lab: Optional[Labeling] = None) -> str:
             lines.append(f"  {v};")
         else:
             lines.append(f'  {v} [label="{lab.label(v)}"];')
-    for u, v in g.edge_list():
+    for u, v in g.edges:
         if lab is None:
             lines.append(f"  {u} -- {v};")
         else:

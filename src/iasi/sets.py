@@ -106,6 +106,23 @@ def ap_set(first: int, diff: int, length: int) -> IntSet:
     return APSet(first, diff, length).to_intset()
 
 
+def ap_sum(p: tuple[int, int, int], q: tuple[int, int, int]) -> Optional[tuple[int, int, int]]:
+    """The sum of two progressions given as ``(first, diff, size)`` triples, or None.
+
+    The sumset of (a, d, m) and (b, kd, n), k an integer with k <= m, is
+    the progression (a + b, d, m + k(n - 1)).  Proof sketch: its elements
+    are a + b + (i + kj)d for i < m and j < n, and as k <= m each block
+    of indices kj .. kj + m - 1 reaches the next one, so the blocks fill
+    0 .. (m - 1) + k(n - 1).  None means the rule does not apply, not
+    that the sum is no progression: a singleton's difference is arbitrary.
+    """
+    (a, d, m), (b, e, n) = (p, q) if p[1] <= q[1] else (q, p)
+    k, rest = divmod(e, d)
+    if rest or k > m:
+        return None
+    return (a + b, d, m + k * (n - 1))
+
+
 def sumset(a: IntSet | Ints, b: IntSet | Ints) -> IntSet:
     """All pairwise sums ``x + y`` with ``x`` in ``a`` and ``y`` in ``b``."""
     sa, sb = as_intset(a), as_intset(b)

@@ -3,24 +3,22 @@
 ``classify``, the one verifier, fills its report from one loop over the
 vertices and one over the edges; nothing is trusted from construction
 time, and every constructor and the search certify their output through
-it.  The vertex loop reads each label, its size and first element,
-its common difference (the paper's deterministic index) when it is a
-progression of at least 3 elements, and the vertex-label collisions;
-the edge loop reads sizes and first elements from there.  It keys each
-edge label f(u) + f(v) and in the same step records its size, its
-deterministic ratio (the larger index over the smaller), a ratio
-violation and an edge-label collision.  An edge whose labels are
-progressions (a, d, m) and (b, kd, n) of at least 3 elements, with k an
-integer and k <= m, has the progression (a + b, d, m + k(n - 1)) as its
-label, so that triple is its key and no sumset is built.  Every other
-edge builds its sumset and keys it by its (first, diff, size) triple
-when it is a progression, else by its elements; equal edge labels thus
-always get equal keys, and a collision builds a sumset only to print
-it.  The report's flags respect the containment chain: identical
-biarithmetic implies biarithmetic implies arithmetic, and isoarithmetic
-implies arithmetic, with isoarithmetic and biarithmetic mutually
-exclusive (a shared-difference edge has ratio 1, a biarithmetic edge
-never does).
+it.  The vertex loop reads each label, its size, its (first, diff,
+size) triple when it is a progression of at least 3 elements (diff is
+the paper's deterministic index), and the vertex-label collisions; the
+edge loop reads sizes and triples from there.  It keys each edge label
+f(u) + f(v) and in the same step records its size, its deterministic
+ratio (the larger index over the smaller), a ratio violation and an
+edge-label collision.  An edge between two such triples takes the sum's
+triple from ``sets.ap_sum`` when that rule applies, and builds no
+sumset.  Every other edge builds its sumset and keys it by its (first,
+diff, size) triple when it is a progression, else by its elements;
+equal edge labels thus always get equal keys, and a collision builds a
+sumset only to print it.  The report's flags respect the containment
+chain: identical biarithmetic implies biarithmetic implies arithmetic,
+and isoarithmetic implies arithmetic, with isoarithmetic and
+biarithmetic mutually exclusive (a shared-difference edge has ratio 1,
+a biarithmetic edge never does).
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from typing import Optional
 
 from .graphs import Graph
 from .labeling import Labeling
-from .sets import IntSet, detect_ap, sumset
+from .sets import IntSet, ap_sum, detect_ap, sumset
 
 
 @dataclass(frozen=True)
@@ -67,18 +65,17 @@ def classify(g: Graph, lab: Labeling) -> VerificationReport:
     """
     violations: list[Violation] = []
     labels: list[IntSet] = []  # f(v), indexed by vertex
-    diffs: list[Optional[int]] = []  # diff of f(v) if a progression of >= 3 elements
+    # (first, diff, size) of f(v) if a progression of >= 3 elements, else None
+    triples: list[Optional[tuple[int, int, int]]] = []
     sizes: list[int] = []  # |f(v)|
-    mins: list[int] = []  # min f(v)
     first_with_label: dict[tuple[int, ...], int] = {}
     for v in g.vertices:
         s = lab.label(v)
         size = len(s.elems)
         ap = detect_ap(s) if size >= 3 else None
         labels.append(s)
-        diffs.append(None if ap is None else ap[1])
+        triples.append(None if ap is None else (*ap, size))
         sizes.append(size)
-        mins.append(s.elems[0])
         first = first_with_label.setdefault(s.elems, v)
         if first != v:
             violations.append(Violation(
@@ -96,46 +93,35 @@ def classify(g: Graph, lab: Labeling) -> VerificationReport:
     edge_sizes: set[int] = set()
     edge_arithmetic = strong = True
     first_with_key: dict[tuple, tuple[int, int]] = {}
-    for e in g.edge_list():
+    for e in g.edges:
         u, v = e
-        du, dv = diffs[u], diffs[v]
-        su, sv = sizes[u], sizes[v]
-        # bound: size of the smaller-diff label, the smaller size on a tie
-        ratio, bound = None, 0
-        if du is not None and dv is not None:
-            if du < dv or (du == dv and su <= sv):
-                lo, bound, hi, n = du, su, dv, sv
-            else:
-                lo, bound, hi, n = dv, sv, du, su
-            if hi % lo:
-                ratio_violations.append(Violation(
-                    element=f"e{u}-{v}",
-                    rule="ratio-not-integral",
-                    detail=f"edge {u}-{v} has index ratio {Fraction(hi, lo)}",
-                ))
-            else:
-                ratio = hi // lo
-                if ratio > bound:
-                    ratio_violations.append(Violation(
-                        element=f"e{u}-{v}",
-                        rule="ratio-exceeds-size",
-                        detail=f"edge {u}-{v} has ratio {ratio} above smaller-index label size {bound}",
-                    ))
+        tu, tv = triples[u], triples[v]
+        ratio = key = None
+        if tu is not None and tv is not None:
+            # bound: size of the smaller-diff label; a tie has ratio 1, within any size
+            (_, lo, bound), (_, hi, _) = (tu, tv) if tu[1] <= tv[1] else (tv, tu)
+            ratio = None if hi % lo else hi // lo
+            key = ap_sum(tu, tv)
+            if key is None:  # the ratio is not an integer, or it is above bound
+                if ratio is None:
+                    rule, detail = "ratio-not-integral", f"has index ratio {Fraction(hi, lo)}"
+                else:
+                    rule, detail = "ratio-exceeds-size", f"has ratio {ratio} above smaller-index label size {bound}"
+                ratio_violations.append(Violation(f"e{u}-{v}", rule, f"edge {u}-{v} {detail}"))
         # the key is f(u) + f(v) as (first, diff, size) when a progression
         # (diff 0 for a singleton), else as (elements,): the shapes never
         # compare equal, so two edges share a key exactly when they share a label
-        if ratio is not None and ratio <= bound:
-            size = bound + ratio * (n - 1)
-            key: tuple = (mins[u] + mins[v], lo, size)
-        else:
+        if key is None:
             label = sumset(labels[u], labels[v])
             size = len(label)
             ap = detect_ap(label)
             key = (label.elems,) if ap is None else (*ap, size)
             edge_arithmetic = edge_arithmetic and ap is not None
+        else:
+            size = key[2]
         ratios.add(ratio)
         edge_sizes.add(size)
-        strong = strong and size == su * sv
+        strong = strong and size == sizes[u] * sizes[v]
         # the edges are distinct tuples, so identity tells a new key from a collision
         first_edge = first_with_key.setdefault(key, e)
         if first_edge is not e:
@@ -147,7 +133,7 @@ def classify(g: Graph, lab: Labeling) -> VerificationReport:
             ))
 
     is_iasi = not violations
-    vertex_arithmetic = None not in diffs
+    vertex_arithmetic = None not in triples
     if is_iasi and vertex_arithmetic:
         violations += ratio_violations
     arithmetic = is_iasi and vertex_arithmetic and not ratio_violations

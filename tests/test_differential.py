@@ -60,10 +60,18 @@ parse-then-validate path through ``graph(n, edges)`` and
 labelings, and on texts with lines duplicated, swapped, dropped, blanked
 or retokenised, both must give the same object (for graphs also the same
 neighbours of every vertex and the same hash) or the same ``ParseError``
-message and line number.  Both refuse, after every other check, the
-first line with a sign, an underscore or a non-ASCII character, which
-``int()`` reads and the format never writes; the oracle finds it with a
-regular expression, line by line.  ``detect_ap`` compares a set with
+message and line number.  Both refuse, before any other check, the
+first ASCII control character but tab and a line end; the oracle finds
+it by a loop over the lines split at newlines.  Both refuse, after
+every other check, the first line with a sign, an underscore or a
+non-ASCII character, which ``int()`` reads and the format never writes;
+the oracle finds it with a regular expression, line by line.  Graphs
+built from shuffled, reoriented edge lists and parsed from shuffled
+files must equal the canonical graph, keep their edges sorted and print
+byte for byte alike.
+``sets.ap_sum`` states once when two progressions sum to a progression;
+its oracle is ``detect_ap`` of the materialised sumset, under the rule's
+condition written out in the test.  ``detect_ap`` compares a set with
 the range its first gap spans; its oracle is the gap loop, on
 singletons, pairs, near-progressions and elements above 2**64.
 """
@@ -102,6 +110,7 @@ from iasi import (
     components,
     construct,
     detect_ap,
+    export_dot,
     graph,
     parse_graph,
     parse_labeling,
@@ -109,12 +118,14 @@ from iasi import (
     serialize_audit,
     serialize_graph,
     serialize_labeling,
+    serialize_report,
     sumset,
 )
 from iasi.compat import AUDITS, _class_histogram, _packed_indicator, _predict
 from iasi.construct import _certify
 from iasi.graphs import _traverse
 from iasi.io import ParseError
+from iasi.sets import ap_sum
 
 from conftest import witness_pair
 
@@ -228,7 +239,7 @@ def naive_verify_iasi(g, lab):
         else:
             by_label[key] = v
     by_edge: dict[tuple[int, ...], tuple[int, int]] = {}
-    for u, v in g.edge_list():
+    for u, v in sorted(g.edges):
         key = naive_edge_label(lab, u, v).elems
         if key in by_edge:
             pu, pv = by_edge[key]
@@ -253,7 +264,7 @@ def naive_verify_arithmetic(g, lab):
         if detect_ap(s) is None:
             raise NotProgressionError(f"label of vertex {v} is not an arithmetic progression")
     violations = []
-    for u, v in g.edge_list():
+    for u, v in sorted(g.edges):
         ratio, smaller = naive_ratio(lab, u, v)
         if ratio.denominator != 1:
             violations.append(Violation(
@@ -304,7 +315,7 @@ def naive_classify(g, lab):
         arithmetic, arith_violations = naive_verify_arithmetic(g, lab)
         violations = violations + arith_violations
         if arithmetic:
-            ratios = [naive_ratio(lab, u, v)[0] for u, v in g.edge_list()]
+            ratios = [naive_ratio(lab, u, v)[0] for u, v in sorted(g.edges)]
             isoarithmetic = all(r == 1 for r in ratios)
             biarithmetic = bool(ratios) and all(r > 1 for r in ratios)
             if biarithmetic and len(set(ratios)) == 1:
@@ -345,7 +356,7 @@ def sumset_table(g, lab):
         ap = detect_ap(s) if len(s) >= 3 else None
         diffs.append(None if ap is None else ap[1])
     edges = []
-    for u, v in g.edge_list():
+    for u, v in sorted(g.edges):
         du, dv = diffs[u], diffs[v]
         ratio, bound = None, 0
         if du is not None and dv is not None:
@@ -652,6 +663,7 @@ def naive_assign(g, diffs, sizes, seed):
 
 
 def naive_parse_graph(text):
+    naive_check_controls(text)
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise ParseError("expected header 'n m'", 1)
@@ -690,6 +702,7 @@ def naive_parse_graph(text):
 
 
 def naive_parse_labeling(text):
+    naive_check_controls(text)
     assignment = {}
     last_vertex = -1
     for i, raw in enumerate(text.splitlines(), start=1):
@@ -701,7 +714,9 @@ def naive_parse_labeling(text):
         try:
             v = int(head.strip())
         except ValueError:
-            raise ParseError(f"vertex id {head.strip()!r} is not an integer", i) from None
+            vid = head.strip()
+            shown = repr(vid) if len(vid) <= 32 else repr(vid[:32]) + "..."
+            raise ParseError(f"vertex id {shown} is not an integer", i) from None
         if v in assignment:
             raise ParseError(f"vertex {v} labeled twice", i)
         if v <= last_vertex:
@@ -724,6 +739,21 @@ def naive_parse_labeling(text):
         assignment[v] = IntSet(tuple(elems))
     naive_check_plain_digits(text)
     return Labeling(assignment)
+
+
+def naive_check_controls(text):
+    """Refuse, line by line, the first ASCII control character but tab and a line end."""
+    pieces = text.split("\n")
+    for i, raw in enumerate(pieces, start=1):
+        if i < len(pieces) and raw.endswith("\r"):
+            raw = raw[:-1]  # the '\r' of a '\r\n' line end
+        for c in raw:
+            if (c < " " and c != "\t") or c == "\x7f":
+                raise ParseError(
+                    f"found {c!r}: lines end at '\\n' or '\\r\\n', and tab is the only "
+                    "other control character",
+                    i,
+                )
 
 
 # a sign, an underscore or a non-ASCII character: what int() reads and the
@@ -1257,6 +1287,28 @@ def test_progression_sumset_closed_form(a, b, d, k, m, n):
         assert len(total) == m * n
 
 
+triples = st.tuples(st.integers(0, 20), st.integers(1, 8), st.integers(1, 8))
+
+
+@settings(max_examples=500, deadline=None)
+@given(triples, triples)
+@example((0, 2, 3), (5, 2, 4))  # equal differences
+@example((3, 1, 2), (0, 3, 4))  # k = 3 above m = 2
+@example((0, 2, 4), (1, 3, 4))  # a ratio that is not an integer
+@example((4, 2, 1), (7, 2, 1))  # two singletons
+def test_ap_sum_matches_the_materialised_sum(p, q):
+    total = sumset(ap_set(*p), ap_set(*q))
+    (_, lo, m), (_, hi, _) = sorted((p, q), key=lambda t: t[1])
+    got = ap_sum(p, q)
+    assert ap_sum(q, p) == got
+    if hi % lo == 0 and hi // lo <= m:
+        first, diff = detect_ap(total)
+        # detect_ap gives a singleton difference 0, the rule the smaller difference
+        assert got == (first, diff or lo, len(total))
+    else:
+        assert got is None
+
+
 KINDS = [
     "isoarithmetic", "bipartite_uniform_isoarithmetic", "biarithmetic",
     "identical_biarithmetic", "strong_biarithmetic", "componentwise_uniform",
@@ -1315,10 +1367,15 @@ def test_sidon_pool_matches_doubling_pool(case):
 # --- parsers: one check per line, no second validation pass -----------------------------
 
 
-# tokens that break a line: negatives, non-digits, a float, a bare colon
-# and an empty token; and what int() reads but the format never writes:
-# signs, an underscore, a non-ASCII digit and a non-ASCII line break
-BAD_TOKENS = ["-1", "-0", "+2", "x", "1.5", ":", "0:", "", "1_0", "\u0663", "\u2028"]
+# tokens that break a line: negatives, non-digits, a float, a bare colon,
+# an empty token and an id too long to echo whole; what int() reads but the
+# format never writes: signs, an underscore, a non-ASCII digit and a
+# non-ASCII line break; and ASCII control characters, a '\r' that may
+# land before a line's '\n' among them
+BAD_TOKENS = [
+    "-1", "-0", "+2", "x", "1.5", ":", "0:", "", "y" * 40, "1_0", "\u0663", "\u2028",
+    "\r", "\x0c", "\x1c", "1\x1f2", "\x00", "\x7f",
+]
 
 
 @st.composite
@@ -1401,12 +1458,39 @@ def test_graph_parser_matches_parse_then_validate(text):
 @example("0: 3 2\n")
 @example("0: -1 2\n")
 @example("\n2: 0 1\n\n5: 7\n")
+@example("y" * 40 + " 0: 1 2\n")
+@example("0: 1 2\r\n1: 3\x0c4\n")
 def test_labeling_parser_matches_parse_then_validate(text):
     want, got = parsed(naive_parse_labeling, text), parsed(parse_labeling, text)
     assert got == want
     if got[0] == "returned":
         items = lambda lab: [(v, type(s), s.elems) for v, s in lab.assignment.items()]
         assert items(got[1]) == items(want[1])
+
+
+@st.composite
+def shuffled_graphs(draw):
+    """A graph, its edges shuffled with each pair in a drawn orientation, and a labeling."""
+    g = draw(graphs(max_n=10))
+    edges = [e if draw(st.booleans()) else e[::-1] for e in draw(st.permutations(g.edges))]
+    return g, edges, Labeling({v: draw(labels) for v in g.vertices})
+
+
+@settings(max_examples=300, deadline=None)
+@given(shuffled_graphs())
+def test_edge_order_is_decided_once(case):
+    g, edges, lab = case
+    text = f"{g.vertex_count} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+    canonical = sorted({(min(e), max(e)) for e in edges})
+    for h in (graph(g.vertex_count, edges), parse_graph(text)):
+        assert h == g and hash(h) == hash(g)
+        assert list(h.edges) == canonical
+        for v in h.vertices:
+            assert list(h.neighbors(v)) == sorted(h.neighbors(v)) == list(g.neighbors(v))
+        assert serialize_graph(h) == serialize_graph(g)
+        assert export_dot(h) == export_dot(g)
+        assert export_dot(h, lab) == export_dot(g, lab)
+        assert serialize_report(classify(h, lab)) == serialize_report(classify(g, lab))
 
 
 # --- progressions: one comparison against a range ------------------------------------

@@ -46,7 +46,7 @@ def has_odd_closed_walk(g) -> bool:
 
 def test_edges_normalize_and_validate():
     g = graph(4, [(3, 0), (1, 2)])
-    assert g.edge_list() == [(0, 3), (1, 2)]
+    assert g.edges == ((0, 3), (1, 2))
     assert 3 in g.neighbors(0) and 0 in g.neighbors(3)
     with pytest.raises(ValueError):
         graph(3, [(0, 0)])

@@ -157,6 +157,47 @@ def test_parsers_refuse_signs_underscores_and_non_ascii(parse, text, line_no, fo
     )
 
 
+# a line ends at '\n' or '\r\n' alone: every other ASCII control character
+# but tab is refused first, at the line an editor shows
+@pytest.mark.parametrize(
+    "parse, text, line_no, found",
+    [
+        (parse_graph, "2 1\x1c0 1", 1, "\x1c"),
+        (parse_labeling, "0: 1\x1f2 3\x1e1: 4 5 6", 1, "\x1f"),
+        (parse_graph, "1 0\n\x0c\n0 x", 2, "\x0c"),
+        (parse_graph, "2 1\v0 1\n", 1, "\v"),
+        (parse_graph, "2 1\r0 1\n", 1, "\r"),
+        (parse_graph, "2 1\r\n0 1\r", 2, "\r"),
+        (parse_graph, "3 1\n0 x\n\x00\n", 3, "\x00"),
+        (parse_labeling, "0: 1 2 3\r\n1: 4\x7f\n", 2, "\x7f"),
+    ],
+)
+def test_parsers_refuse_control_characters(parse, text, line_no, found):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert exc.value.line_no == line_no
+    assert str(exc.value) == (
+        f"line {line_no}: found {found!r}: lines end at '\\n' or '\\r\\n', "
+        "and tab is the only other control character"
+    )
+
+
+def test_parsers_accept_crlf_line_ends():
+    assert parse_graph("2 1\r\n\r\n0\t1\r\n") == path(2)
+    assert parse_labeling("0: 1 2\r\n1: 3 4\r\n") == Labeling({0: (1, 2), 1: (3, 4)})
+    with pytest.raises(ParseError, match="^line 3: edge endpoints must be integers$"):
+        parse_graph("1 0\r\n\r\n0 x\r\n")
+
+
+def test_a_long_vertex_id_is_echoed_as_a_prefix():
+    with pytest.raises(ParseError) as exc:
+        parse_labeling("x" * 100000 + ": 1 2 3\n")
+    assert str(exc.value) == f"line 1: vertex id {'x' * 32!r}... is not an integer"
+    with pytest.raises(ParseError) as exc:
+        parse_labeling("y" * 32 + ": 1 2 3\n")
+    assert str(exc.value) == f"line 1: vertex id {'y' * 32!r} is not an integer"
+
+
 def test_every_other_check_comes_before_the_sign_check():
     # the error a line would get without the sign check still wins
     with pytest.raises(ParseError, match="^line 3: edge endpoints must be integers$"):
