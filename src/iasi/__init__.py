@@ -66,7 +66,6 @@ from .labeling import (
     edge_label,
 )
 from .sets import (
-    APSet,
     IntSet,
     ap_set,
     as_intset,

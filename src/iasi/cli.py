@@ -68,11 +68,14 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _load_graph(path: str) -> Graph:
-    return parse_graph(Path(path).read_text())
+    # newline="": the parser, not universal newlines, decides where a line ends
+    with open(path, newline="") as f:
+        return parse_graph(f.read())
 
 
 def _load_labeling(path: str) -> Labeling:
-    return parse_labeling(Path(path).read_text())
+    with open(path, newline="") as f:
+        return parse_labeling(f.read())
 
 
 # --- verb handlers ---------------------------------------------------------

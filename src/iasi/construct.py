@@ -152,9 +152,10 @@ def _assign(g: Graph, diffs: dict[int, int], sizes: dict[int, int], seed: int) -
     _require_ints(seed=seed)
     base = seed % 1000
     p = _least_prime(g.vertex_count)
+    # the ids come from the range g.vertices, so ascending, and ap_set checks each label
     return _certify(
         g,
-        Labeling({
+        Labeling._from_sorted({
             v: ap_set(base + 2 * p * v + v * v % p, diffs[v], sizes[v]) for v in g.vertices
         }),
     )

@@ -5,9 +5,10 @@ elements ascending).  Parsers accept it plus blank lines, extra
 whitespace and leading zeros, so parse(serialize(x)) == x, and refuse
 any other drift with a line number, signs, '_' and non-ASCII characters
 included.  A line ends at a newline, with or without a carriage return
-before it, and at no other ASCII character: every other ASCII control
-character but tab is refused before any line is read, so line numbers
-are the ones an editor shows.  They check each line once and build what
+before it, and at no other character: every other ASCII control
+character but tab is refused before any line is read, and a non-ASCII
+separator such as U+2028 is refused as any non-ASCII character is, so
+line numbers count newlines.  They check each line once and build what
 they checked without the constructors' second validation pass.
 """
 
@@ -64,7 +65,7 @@ def _check_controls(text: str) -> None:
 def _check_plain_digits(text: str) -> None:
     """Raise at the first line with a sign, '_' or non-ASCII: int() reads them.  Call it last."""
     if not text.isascii() or "+" in text or "-" in text or "_" in text:
-        for i, raw in enumerate(text.splitlines(keepends=True), start=1):
+        for i, raw in enumerate(text.split("\n"), start=1):
             bad = [c for c in raw if c in "+-_" or not c.isascii()]
             if bad:
                 raise ParseError(f"found {bad[0]!r}: integers are plain ASCII digits, no sign or '_'", i)
@@ -81,7 +82,7 @@ def serialize_graph(g: Graph) -> str:
 
 def parse_graph(text: str) -> Graph:
     _check_controls(text)
-    lines = text.splitlines()
+    lines = text.removesuffix("\n").split("\n")
     head = lines[0].split() if lines else []
     if len(head) != 2:
         raise ParseError("expected header 'n m'", 1)
@@ -131,7 +132,7 @@ def parse_labeling(text: str) -> Labeling:
     _check_controls(text)
     assignment: dict[int, IntSet] = {}
     last_vertex = -1
-    for i, raw in enumerate(text.splitlines(), start=1):
+    for i, raw in enumerate(text.split("\n"), start=1):
         if not raw.strip():
             continue
         if ":" not in raw:

@@ -78,32 +78,22 @@ def as_intset(values: IntSet | Ints) -> IntSet:
     return IntSet(tuple(values))
 
 
-@dataclass(frozen=True)
-class APSet:
-    """An arithmetic progression given by first term, difference, length."""
-
-    first: int
-    diff: int
-    length: int
-
-    def __post_init__(self) -> None:
-        _require_ints(first=self.first, diff=self.diff, length=self.length)
-        if self.first < 0:
-            raise ValueError("first term must be non-negative")
-        if self.diff < 1:
-            raise ValueError("difference must be positive")
-        if self.length < 1:
-            raise ValueError("length must be positive")
-
-    def to_intset(self) -> IntSet:
-        # validated above: the terms are sorted, distinct, non-negative ints
-        stop = self.first + self.diff * self.length
-        return IntSet._from_sorted(tuple(range(self.first, stop, self.diff)))
-
-
 def ap_set(first: int, diff: int, length: int) -> IntSet:
-    """The progression ``{first, first+diff, ..., first+(length-1)*diff}``."""
-    return APSet(first, diff, length).to_intset()
+    """The progression ``{first, first+diff, ..., first+(length-1)*diff}``.
+
+    Arguments must be exact ints with first >= 0 and diff, length >= 1,
+    else ValueError; the terms are then sorted, distinct and non-negative,
+    so the IntSet takes them without its own checks.
+    """
+    if type(first) is not int or type(diff) is not int or type(length) is not int:
+        _require_ints(first=first, diff=diff, length=length)
+    if first < 0:
+        raise ValueError("first term must be non-negative")
+    if diff < 1:
+        raise ValueError("difference must be positive")
+    if length < 1:
+        raise ValueError("length must be positive")
+    return IntSet._from_sorted(tuple(range(first, first + diff * length, diff)))
 
 
 def ap_sum(p: tuple[int, int, int], q: tuple[int, int, int]) -> Optional[tuple[int, int, int]]:
@@ -135,8 +125,8 @@ def detect_ap(s: IntSet | Ints) -> Optional[tuple[int, int]]:
     A singleton reports diff 0.  Two-element sets always qualify.  Sets
     with irregular gaps return None.
     """
-    sa = as_intset(s)
-    e = sa.elems
+    # an exact IntSet, as every caller in the package passes, skips the call
+    e = (s if type(s) is IntSet else as_intset(s)).elems
     if len(e) == 1:
         return (e[0], 0)
     d = e[1] - e[0]

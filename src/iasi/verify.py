@@ -1,12 +1,14 @@
 """Verifiers for every labeling class the library knows.
 
-``classify``, the one verifier, fills its report from one loop over the
-vertices and one over the edges; nothing is trusted from construction
-time, and every constructor and the search certify their output through
-it.  The vertex loop reads each label, its size, its (first, diff,
-size) triple when it is a progression of at least 3 elements (diff is
-the paper's deterministic index), and the vertex-label collisions; the
-edge loop reads sizes and triples from there.  It keys each edge label
+``classify``, the one verifier, fills its report from one pass over the
+vertices and one loop over the edges; nothing is trusted from
+construction time, and every constructor and the search certify their
+output through it.  The vertex pass builds columns indexed by vertex:
+the labels, their sizes, and each label's (first, diff, size) triple
+when it is a progression of at least 3 elements (diff is the paper's
+deterministic index).  It tests every label for a repeat at once, and
+only when there is one walks them to name each vertex-label collision.
+The edge loop reads sizes and triples from there.  It keys each edge label
 f(u) + f(v) and in the same step records its size, its deterministic
 ratio (the larger index over the smaller), a ratio violation and an
 edge-label collision.  An edge between two such triples takes the sum's
@@ -28,8 +30,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .graphs import Graph
-from .labeling import Labeling
-from .sets import IntSet, ap_sum, detect_ap, sumset
+from .labeling import Labeling, MissingLabelError
+from .sets import ap_sum, detect_ap, sumset
 
 
 @dataclass(frozen=True)
@@ -56,7 +58,7 @@ class VerificationReport:
 
 
 def classify(g: Graph, lab: Labeling) -> VerificationReport:
-    """Fill the report from one loop over the vertices and one over the edges.
+    """Fill the report from one pass over the vertices and one loop over the edges.
 
     Flags implied by a failed prerequisite come back False rather than
     raising, so the report is total for any labeling of exactly the
@@ -64,28 +66,31 @@ def classify(g: Graph, lab: Labeling) -> VerificationReport:
     on a label for a vertex the graph does not have.
     """
     violations: list[Violation] = []
-    labels: list[IntSet] = []  # f(v), indexed by vertex
-    # (first, diff, size) of f(v) if a progression of >= 3 elements, else None
-    triples: list[Optional[tuple[int, int, int]]] = []
-    sizes: list[int] = []  # |f(v)|
-    first_with_label: dict[tuple[int, ...], int] = {}
-    for v in g.vertices:
-        s = lab.label(v)
-        size = len(s.elems)
-        ap = detect_ap(s) if size >= 3 else None
-        labels.append(s)
-        triples.append(None if ap is None else (*ap, size))
-        sizes.append(size)
-        first = first_with_label.setdefault(s.elems, v)
-        if first != v:
-            violations.append(Violation(
-                element=f"v{first},v{v}",
-                rule="vertex-label-collision",
-                detail=f"vertices {first} and {v} share label {s}",
-            ))
-    if len(lab) > g.vertex_count:
+    assignment = lab.assignment
+    try:
+        labels = [assignment[v] for v in g.vertices]  # f(v), indexed by vertex
+    except KeyError as gap:
+        raise MissingLabelError(f"vertex {gap.args[0]} has no label") from None
+    if len(assignment) > g.vertex_count:
         extra = lab.vertices()[g.vertex_count]
         raise ValueError(f"vertex {extra} has a label but the graph has {g.vertex_count} vertices")
+    elems = [s.elems for s in labels]
+    sizes = list(map(len, elems))  # |f(v)|
+    # (first, diff, size) of f(v) if a progression of >= 3 elements, else None
+    triples: list[Optional[tuple[int, int, int]]] = [
+        None if size < 3 or (ap := detect_ap(s)) is None else (*ap, size)
+        for s, size in zip(labels, sizes)
+    ]
+    if len(set(elems)) != len(elems):
+        first_with_label: dict[tuple[int, ...], int] = {}
+        for v, e in enumerate(elems):
+            first = first_with_label.setdefault(e, v)
+            if first != v:
+                violations.append(Violation(
+                    element=f"v{first},v{v}",
+                    rule="vertex-label-collision",
+                    detail=f"vertices {first} and {v} share label {labels[v]}",
+                ))
 
     # reported only when the labeling is an IASI of progressions
     ratio_violations: list[Violation] = []

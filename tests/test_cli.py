@@ -316,6 +316,22 @@ def test_verify_malformed_labeling_exits_two(run, tmp_path):
     assert code == 2 and "line 1" in err
 
 
+def test_commands_end_lines_where_the_parsers_do(run, tmp_path):
+    # a bare '\r' is refused as parse_graph and parse_labeling refuse it
+    found = "line 1: found '\\r'"
+    gpath, lpath = tmp_path / "g.txt", tmp_path / "lab.txt"
+    gpath.write_bytes(b"2 1\r0 1\r")
+    code, out, err = run("search", "--graph", str(gpath))
+    assert code == 2 and out == "" and err.startswith(f"error: {found}")
+    gpath.write_bytes(b"2 1\r\n0 1\r\n")
+    assert run("search", "--graph", str(gpath))[0] == 0
+    lpath.write_bytes(b"0: 0 1 2\r1: 3 4 5\r")
+    code, out, err = run("verify", "--graph", str(gpath), "--labeling", str(lpath))
+    assert code == 2 and out == "" and err.startswith(f"error: {found}")
+    lpath.write_bytes(b"0: 0 1 2\r\n1: 3 4 5\r\n")
+    assert run("verify", "--graph", str(gpath), "--labeling", str(lpath))[0] == 0
+
+
 def test_verify_graph_path_is_directory(run, tmp_path):
     lpath = tmp_path / "lab.txt"
     lpath.write_text("0: 0 1 2\n")

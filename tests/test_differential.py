@@ -8,8 +8,8 @@ from the raw labels.  They are kept here, unoptimized, as references.
 Every return value, violation list and raised exception of the
 library must match them on random graphs and labelings, including
 labels that are not progressions, labels with fewer than 3 elements,
-labelings that are not set-indexers, uncovered vertices and graphs
-without edges.
+labelings that are not set-indexers, uncovered vertices, labels past
+the graph and graphs without edges.
 
 The audit counts class sizes by one polynomial product of two
 indicators built in closed form as geometric series; its oracle is
@@ -74,6 +74,9 @@ its oracle is ``detect_ap`` of the materialised sumset, under the rule's
 condition written out in the test.  ``detect_ap`` compares a set with
 the range its first gap spans; its oracle is the gap loop, on
 singletons, pairs, near-progressions and elements above 2**64.
+``ap_set`` builds its set from a range without ``IntSet``'s checks;
+its oracle lists the terms one by one, and refuses, with the same
+message, bools, floats and every argument out of range.
 """
 
 from __future__ import annotations
@@ -222,6 +225,9 @@ def naive_ratio(lab, u, v):
 def require_cover(g, lab):
     for v in g.vertices:
         lab.label(v)
+    extra = sorted(v for v in lab if v >= g.vertex_count)
+    if extra:
+        raise ValueError(f"vertex {extra[0]} has a label but the graph has {g.vertex_count} vertices")
 
 
 def naive_verify_iasi(g, lab):
@@ -350,6 +356,7 @@ class SumsetEdge(NamedTuple):
 
 
 def sumset_table(g, lab):
+    require_cover(g, lab)
     labels = tuple(lab.label(v) for v in g.vertices)
     diffs = []
     for s in labels:
@@ -662,9 +669,15 @@ def naive_assign(g, diffs, sizes, seed):
 # --- parser oracles: check each line, then validate again on construction ------------
 
 
+def naive_lines(text):
+    """The pieces of text between '\n's, less the empty one after a last '\n'."""
+    pieces = text.split("\n")
+    return pieces[:-1] if pieces[-1] == "" else pieces
+
+
 def naive_parse_graph(text):
     naive_check_controls(text)
-    lines = text.splitlines()
+    lines = naive_lines(text)
     if not lines or not lines[0].strip():
         raise ParseError("expected header 'n m'", 1)
     head = lines[0].split()
@@ -705,7 +718,7 @@ def naive_parse_labeling(text):
     naive_check_controls(text)
     assignment = {}
     last_vertex = -1
-    for i, raw in enumerate(text.splitlines(), start=1):
+    for i, raw in enumerate(naive_lines(text), start=1):
         if not raw.strip():
             continue
         if ":" not in raw:
@@ -762,7 +775,7 @@ UNPLAIN = re.compile(r"[-+_]|[^\x00-\x7f]")
 
 
 def naive_check_plain_digits(text):
-    for i, raw in enumerate(text.splitlines(keepends=True), start=1):
+    for i, raw in enumerate(naive_lines(text), start=1):
         found = UNPLAIN.search(raw)
         if found:
             raise ParseError(
@@ -820,8 +833,18 @@ tight_labels = st.one_of(
 def graphs_with_labelings(draw, label_sets=labels):
     g = draw(graphs())
     assignment = {v: draw(label_sets) for v in g.vertices}
+    # one label at three or more vertices: each later one collides with the first
+    if g.vertex_count >= 3 and draw(st.integers(0, 4)) == 0:
+        shared = draw(label_sets)
+        for v in draw(st.sets(st.sampled_from(sorted(assignment)), min_size=3)):
+            assignment[v] = shared
     if assignment and draw(st.integers(0, 9)) == 0:
         del assignment[draw(st.sampled_from(sorted(assignment)))]
+    # labels past the graph, also with a gap, which is reported first
+    if draw(st.integers(0, 4)) == 0:
+        past = st.integers(g.vertex_count, g.vertex_count + 2)
+        for v in draw(st.sets(past, min_size=1, max_size=2)):
+            assignment[v] = draw(label_sets)
     return g, Labeling(assignment)
 
 
@@ -899,6 +922,10 @@ def sets(*elems):
 @example((graph(3, [(0, 1), (1, 2)]), sets((0,), (3, 5), (0, 1, 5))))
 # ratio 5 above size 3, not reported since the labels collide
 @example((graph(3, [(0, 1), (1, 2)]), aps((0, 1, 3), (0, 5, 3), (0, 1, 3))))
+# one label at four vertices, among them the last
+@example((graph(5, [(0, 1), (2, 3)]), aps((0, 1, 3), (0, 2, 3), (0, 1, 3), (0, 1, 3), (0, 1, 3))))
+# a gap at vertex 1 and a label at vertex 3 of a 3-vertex graph: the gap is raised
+@example((graph(3, [(0, 2)]), Labeling({0: ap_set(0, 1, 3), 2: ap_set(0, 2, 3), 3: ap_set(5, 1, 3)})))
 def test_classify_matches_sumset_table(case):
     g, lab = case
     assert outcome(classify, g, lab) == outcome(naive_table_classify, g, lab)
@@ -1309,6 +1336,44 @@ def test_ap_sum_matches_the_materialised_sum(p, q):
         assert got is None
 
 
+def naive_ap_set(first, diff, length):
+    """Each argument's type in order, then its range, then the terms one by one."""
+    for name, value in (("first", first), ("diff", diff), ("length", length)):
+        if type(value) is not int:
+            return ("raised", f"{name} must be an integer, got {value!r}")
+    if first < 0:
+        return ("raised", "first term must be non-negative")
+    if diff < 1:
+        return ("raised", "difference must be positive")
+    if length < 1:
+        return ("raised", "length must be positive")
+    return ("returned", tuple(first + diff * i for i in range(length)))
+
+
+not_ints = st.sampled_from([True, False, 0.0, 2.5, -1.0, "1", None])
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(st.integers(0, 2**66), st.integers(0, 2**66), st.integers(-3, 2), not_ints),
+    st.one_of(st.integers(1, 2**66), st.integers(1, 2**66), st.integers(-3, 2), not_ints),
+    st.one_of(st.integers(1, 6), st.integers(1, 6), st.integers(-3, 2), not_ints),
+)
+@example(2**66, 2**66, 6)
+@example(True, -1, 0)  # a bool is named before any range
+@example(-1, 0, 0)  # the ranges in order: first, diff, length
+@example(0, 1, 2.0)
+def test_ap_set_matches_the_term_list(first, diff, length):
+    try:
+        s = ap_set(first, diff, length)
+    except ValueError as exc:
+        got = ("raised", str(exc))
+    else:
+        assert type(s) is IntSet
+        got = ("returned", s.elems)
+    assert got == naive_ap_set(first, diff, length)
+
+
 KINDS = [
     "isoarithmetic", "bipartite_uniform_isoarithmetic", "biarithmetic",
     "identical_biarithmetic", "strong_biarithmetic", "componentwise_uniform",
@@ -1443,6 +1508,9 @@ labeling_texts = labelings.flatmap(lambda lab: mutated(serialize_labeling(lab), 
 @example(f"{2**70} 2\n0 1\n1 0\n")
 @example(f"{10**11} 5\n")
 @example(f"{10**11} 1\n0 1\nx\n")
+# U+2028, U+2029 and U+0085 end no line
+@example("3 2\n0 1\u2028\u2029\n1 x\n")
+@example("2 2\n0 1\n\x85\x85\n")
 def test_graph_parser_matches_parse_then_validate(text):
     want, got = parsed(naive_parse_graph, text), parsed(parse_graph, text)
     assert got == want
@@ -1460,6 +1528,7 @@ def test_graph_parser_matches_parse_then_validate(text):
 @example("\n2: 0 1\n\n5: 7\n")
 @example("y" * 40 + " 0: 1 2\n")
 @example("0: 1 2\r\n1: 3\x0c4\n")
+@example("0: 1 2\u2028\u2028\u2028\n1: x\n")
 def test_labeling_parser_matches_parse_then_validate(text):
     want, got = parsed(naive_parse_labeling, text), parsed(parse_labeling, text)
     assert got == want

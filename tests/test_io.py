@@ -141,7 +141,7 @@ def test_parsers_accept_leading_zeros_and_extra_whitespace():
         (parse_graph, "11 1\n0 1_0\n", 2, "_"),
         (parse_graph, "2 1\n0 \u0661\n", 2, "\u0661"),
         (parse_graph, "2 1\n0 1\n\u3000\n", 3, "\u3000"),
-        (parse_graph, "2 1\u20280 1\n", 1, "\u2028"),
+        (parse_graph, "2 1\n0\u20281\n", 2, "\u2028"),
         (parse_labeling, "0: +1 1_0 \u0663\u0663\n", 1, "+"),
         (parse_labeling, "0: 1 2 3\n1: -0 5\n", 2, "-"),
         (parse_labeling, "-0: 1 2 3\n", 1, "-"),
@@ -180,6 +180,23 @@ def test_parsers_refuse_control_characters(parse, text, line_no, found):
         f"line {line_no}: found {found!r}: lines end at '\\n' or '\\r\\n', "
         "and tab is the only other control character"
     )
+
+
+@pytest.mark.parametrize("sep", ["\x85", "\u2028", "\u2029"])
+def test_unicode_line_separators_end_no_line(sep):
+    # lines are counted at '\n' alone, so each message names the line a newline count gives
+    with pytest.raises(ParseError, match="^line 2: label elements must be integers$"):
+        parse_labeling(f"0: 1 2{sep}{sep}{sep}\n1: x\n")
+    with pytest.raises(ParseError, match="^line 3: edge endpoints must be integers$"):
+        parse_graph(f"3 2\n0 1{sep}{sep}\n1 x\n")
+    with pytest.raises(ParseError, match="^line 3: header promised 2 edges, found 1$"):
+        parse_graph(f"2 2\n0 1\n{sep}{sep}\n")
+    # nor a header: str.split reads a separator as a space, so this header has four fields
+    with pytest.raises(ParseError, match="^line 1: expected header 'n m'$"):
+        parse_graph(f"2 1{sep}0 1\n")
+    with pytest.raises(ParseError) as exc:
+        parse_labeling(f"0: 1 2\n\n1: 3 4{sep}5\n")
+    assert str(exc.value) == f"line 3: found {sep!r}: integers are plain ASCII digits, no sign or '_'"
 
 
 def test_parsers_accept_crlf_line_ends():

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iasi import (
-    APSet,
     IntSet,
     ap_set,
     check_freiman_converse,
@@ -60,12 +59,14 @@ def test_intset_translate_and_add_sugar():
 
 
 def test_apset_fields_and_expansion():
-    assert APSet(2, 3, 4).to_intset().elems == (2, 5, 8, 11)
+    assert ap_set(2, 3, 4).elems == (2, 5, 8, 11)
     assert ap_set(0, 1, 3).elems == (0, 1, 2)
-    with pytest.raises(ValueError):
-        APSet(0, 0, 3)
-    with pytest.raises(ValueError):
-        APSet(-1, 1, 3)
+    with pytest.raises(ValueError, match="^difference must be positive$"):
+        ap_set(0, 0, 3)
+    with pytest.raises(ValueError, match="^first term must be non-negative$"):
+        ap_set(-1, 1, 3)
+    with pytest.raises(ValueError, match="^length must be positive$"):
+        ap_set(0, 1, 0)
     # fields must be exactly int: bools and floats are not terms, steps or lengths
     for args in [(0, 1, True), (0, True, 3), (False, 1, 3), (0, 1, 2.5), (0.0, 1, 3), (0, "1", 3)]:
         with pytest.raises(ValueError):
