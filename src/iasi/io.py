@@ -82,8 +82,8 @@ def serialize_graph(g: Graph) -> str:
 
 def parse_graph(text: str) -> Graph:
     _check_controls(text)
-    lines = text.removesuffix("\n").split("\n")
-    head = lines[0].split() if lines else []
+    lines = text.removesuffix("\n").split("\n")  # no line after a final '\n'
+    head = lines[0].split()
     if len(head) != 2:
         raise ParseError("expected header 'n m'", 1)
     try:
