@@ -44,6 +44,7 @@ import inspect
 from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from math import isqrt
 from typing import Optional
 
@@ -86,11 +87,18 @@ def _resolve_sizes(
     sizes: int | tuple[int, int] | Sequence[int] | dict[int, int],
     bip: Optional[Bipartition] = None,
 ) -> dict[int, int]:
-    """One int >= 3 per vertex from an int, a dict, V values, or, given bip, a side pair."""
+    """One int >= 3 per vertex from an int, a dict, V values, or, given bip, a side pair.
+
+    A dict key that is not a vertex, an exact int in range(V), raises
+    ValueError rather than being dropped.
+    """
     if bip is not None and isinstance(sizes, tuple) and len(sizes) == 2:
         x_size, y_size = sizes
         out = {v: (x_size if v in bip.side_x else y_size) for v in g.vertices}
     elif isinstance(sizes, dict):
+        for v in sizes:
+            if type(v) is not int or not 0 <= v < g.vertex_count:  # exact type: True is no vertex
+                raise ValueError(f"size given for {v!r}, which is not a vertex of the graph")
         out = dict(sizes)
     elif isinstance(sizes, Sequence):
         if len(sizes) != g.vertex_count:
@@ -242,16 +250,43 @@ def construct_strong_biarithmetic(
     return _assign(g, _side_diffs(g, bip, diff, ratio), size_map, seed)
 
 
-def _greedy_levels(g: Graph) -> dict[int, int]:
-    """Proper coloring by ascending vertex id; adjacent levels differ."""
-    level: dict[int, int] = {}
-    for v in g.vertices:
-        used = {level[w] for w in g.neighbors(v) if w in level}
-        c = 0
-        while c in used:
-            c += 1
-        level[v] = c
-    return level
+def _dsatur_levels(g: Graph) -> dict[int, int]:
+    """A proper colouring by DSatur (Brelaz 1979), levels numbered from the top.
+
+    Each step colours the uncoloured vertex with the most distinct
+    neighbour colours, ties to the larger degree and then the smaller
+    id, with the least colour none of its neighbours has.  A vertex's
+    heap entries only gain saturation, so its newest entry pops first
+    and the older ones pop after it is coloured and are skipped.  Level
+    is the top colour minus the colour: the class coloured first,
+    usually the largest, takes the top level, whose labels need only 3
+    elements.  Exact on bipartite graphs: two colours.
+    """
+    n = g.vertex_count
+    adjacency = [g.neighbors(v) for v in g.vertices]
+    # heap keys are ints, least first, as int compares outrun tuple ones
+    # (1.0-1.6 ms against 1.6-2.5 on G(300, 0.05)): rank orders by larger
+    # degree, then smaller id, within [0, n(n + 1)), so each saturation
+    # step of n(n + 1) outweighs every rank, and key % n is the vertex
+    rank = [(n - len(adjacency[v])) * n + v for v in g.vertices]
+    step = n * (n + 1)
+    colour = [-1] * n
+    seen = [0] * n  # bitmask of the colours among v's neighbours
+    heap = rank[:]
+    heapify(heap)
+    while heap:
+        v = heappop(heap) % n
+        if colour[v] >= 0:
+            continue
+        c = (~seen[v] & (seen[v] + 1)).bit_length() - 1  # the lowest clear bit
+        colour[v] = c
+        bit = 1 << c
+        for w in adjacency[v]:
+            if colour[w] < 0 and not seen[w] & bit:
+                seen[w] |= bit
+                heappush(heap, rank[w] - seen[w].bit_count() * step)
+    top = max(colour, default=0)
+    return {v: top - colour[v] for v in g.vertices}
 
 
 def construct_biarithmetic(
@@ -263,11 +298,12 @@ def construct_biarithmetic(
 ) -> Labeling:
     """A proper integer ratio on every edge; works on any graph.
 
-    Vertices take differences diff * ratio**level along a greedy proper
-    coloring, so adjacent vertices always differ by a positive power of
-    ratio.  When sizes is None each vertex gets the smallest size that
-    keeps every incident edge ratio within bounds; explicit sizes that
-    are too small raise RatioBoundError.
+    Vertices take differences diff * ratio**level along a DSatur proper
+    colouring numbered from the top (``_dsatur_levels``), so adjacent
+    vertices always differ by a positive power of ratio.  When sizes is
+    None each vertex gets the smallest size that keeps every incident
+    edge ratio within bounds; explicit sizes that are too small raise
+    RatioBoundError.
 
     Sizes cannot stay polynomial in the vertex count on dense graphs,
     whatever the coloring.  On a clique of size w every edge ratio is
@@ -277,7 +313,7 @@ def construct_biarithmetic(
     least 2^(w - 1) elements.  Sizes are not capped.
     """
     _check_params(diff, ratio)
-    level = _greedy_levels(g)
+    level = _dsatur_levels(g)
     required = {v: 3 for v in g.vertices}
     for u, v in g.edges:
         lo, hi = (u, v) if level[u] < level[v] else (v, u)

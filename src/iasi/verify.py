@@ -26,7 +26,7 @@ a biarithmetic edge never does).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from .graphs import Graph
@@ -109,7 +109,8 @@ def classify(g: Graph, lab: Labeling) -> VerificationReport:
             key = ap_sum(tu, tv)
             if key is None:  # the ratio is not an integer, or it is above bound
                 if ratio is None:
-                    rule, detail = "ratio-not-integral", f"has index ratio {Fraction(hi, lo)}"
+                    d = gcd(hi, lo)
+                    rule, detail = "ratio-not-integral", f"has index ratio {hi // d}/{lo // d}"
                 else:
                     rule, detail = "ratio-exceeds-size", f"has ratio {ratio} above smaller-index label size {bound}"
                 ratio_violations.append(Violation(f"e{u}-{v}", rule, f"edge {u}-{v} {detail}"))

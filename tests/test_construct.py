@@ -13,6 +13,8 @@ import time
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iasi import (
     ConstructionError,
@@ -83,6 +85,19 @@ def test_non_integer_sizes_raise_value_error():
             construct_isoarithmetic(path(3), sizes=sizes)
     with pytest.raises(ValueError, match="label sizes must be integers"):
         construct_identical_biarithmetic(path(2), ratio=2, sizes=(3.5, 3))
+
+
+def test_size_dict_keys_must_be_vertices():
+    # a key outside range(V) or not an exact int is refused, never dropped;
+    # True would otherwise stand in for vertex 1
+    for call in (
+        lambda: construct_isoarithmetic(path(2), sizes={0: 3, 1: 3, 5: 4, "x": 9}),
+        lambda: construct(path(2), "biarithmetic", sizes={0: 3, 1: 3, -1: 2.5}),
+        lambda: construct_isoarithmetic(path(2), sizes={0: 3, True: 3}),
+        lambda: construct_biarithmetic(path(2), sizes={0: 3, 1.0: 3}),
+    ):
+        with pytest.raises(ValueError, match="which is not a vertex of the graph"):
+            call()
 
 
 def test_side_pair_with_non_integer_member_names_the_bad_size():
@@ -192,9 +207,41 @@ def test_biarithmetic_on_non_bipartite_graphs():
 def test_biarithmetic_auto_sizes_track_levels():
     g = complete(4)
     lab = construct_biarithmetic(g, ratio=2)
-    # greedy coloring gives levels 0..3, so vertex 0 must span ratio**3
-    assert len(lab.label(0)) == 8
+    # a clique's differences form a divisibility chain with steps of at
+    # least 2, so its largest label needs 2^(w - 1) elements, and no more
+    sizes = sorted(len(lab.label(v)) for v in g.vertices)
+    assert sizes == [3, 3, 4, 8]
+    assert sizes[-1] == 2 ** (4 - 1)
     assert classify(g, lab).biarithmetic
+
+
+def test_biarithmetic_crown_with_interleaved_ids_takes_two_levels():
+    # sides are the even and the odd ids; colouring by ascending id needs 8 colours here
+    g = graph(16, [(2 * i, 2 * j + 1) for i in range(8) for j in range(8) if i != j])
+    lab = construct_biarithmetic(g, ratio=2)
+    assert {len(lab.label(v)) for v in g.vertices} == {3}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_biarithmetic_bipartite_graphs_take_two_levels(data):
+    x, y = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+    pairs = data.draw(st.sets(st.tuples(st.integers(0, x - 1), st.integers(0, y - 1)), min_size=1))
+    ids = data.draw(st.permutations(range(x + y)))  # the sides' ids interleave
+    k = data.draw(st.integers(2, 6))
+    g = graph(x + y, [(ids[a], ids[x + b]) for a, b in pairs])
+    lab = construct_biarithmetic(g, ratio=k)
+    assert {len(lab.label(v)) for v in g.vertices} <= {3, max(3, k)}
+
+
+def test_biarithmetic_depends_only_on_the_graph():
+    rng = random.Random(28)
+    for _ in range(30):
+        g = random_graph(rng, max_n=14, p=0.5)
+        pairs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges]
+        rng.shuffle(pairs)
+        same = graph(g.vertex_count, pairs)
+        assert construct_biarithmetic(same, ratio=3) == construct_biarithmetic(g, ratio=3)
 
 
 def test_biarithmetic_rejects_undersized_labels():

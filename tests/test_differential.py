@@ -125,7 +125,7 @@ from iasi import (
     sumset,
 )
 from iasi.compat import AUDITS, _class_histogram, _packed_indicator, _predict
-from iasi.construct import _certify
+from iasi.construct import _certify, _dsatur_levels
 from iasi.graphs import _traverse
 from iasi.io import ParseError
 from iasi.sets import ap_sum
@@ -190,6 +190,20 @@ def naive_bipartition(g):
     side_x = frozenset(v for v, c in color.items() if c == 0)
     side_y = frozenset(v for v, c in color.items() if c == 1)
     return Bipartition(side_x, side_y)
+
+
+def naive_dsatur(g):
+    """DSatur by a full scan per step; level = top colour - colour."""
+    color: dict[int, int] = {}
+    while len(color) < g.vertex_count:
+        def priority(v):
+            nbrs = naive_neighbors(g, v)
+            return (len({color[w] for w in nbrs if w in color}), len(nbrs), -v)
+        v = max((v for v in g.vertices if v not in color), key=priority)
+        used = {color[w] for w in naive_neighbors(g, v) if w in color}
+        color[v] = min(c for c in range(g.vertex_count) if c not in used)
+    top = max(color.values(), default=0)
+    return {v: top - color[v] for v in g.vertices}
 
 
 # --- verifier oracles -----------------------------------------------------------
@@ -886,6 +900,12 @@ def test_graph_layer_matches_edge_scan_oracle(g):
     assert bipartition(g) == naive_bipartition(g)
     orders = [comp.order for comp in _traverse(g)[0]]
     assert orders == [tuple(naive_bfs_order(g, c[0])) for c in naive_components(g)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(max_n=12))
+def test_dsatur_heap_matches_full_scan(g):
+    assert _dsatur_levels(g) == naive_dsatur(g)
 
 
 VERIFIERS = [(classify, naive_classify)]
