@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import sys
-from pathlib import Path
-from typing import Optional, Sequence
+from itertools import repeat
+from typing import Iterable, Optional, Sequence
 
 # direct name imports: the package re-exports a construct() function,
 # which shadows the construct submodule as a package attribute
@@ -33,10 +32,10 @@ from .construct import (
 )
 from .graphs import _KINDS, Graph, bipartition, generate
 from .io import (
+    audit_lines,
     export_dot,
     parse_graph,
     parse_labeling,
-    serialize_audit,
     serialize_graph,
     serialize_labeling,
     serialize_profile,
@@ -47,12 +46,15 @@ from .sets import IntSet
 from .verify import classify
 
 
-def _parse_values(text: str) -> list[int]:
-    """'3..12' (inclusive), '2,3', or '5' -> non-empty list of ints."""
+def _parse_values(text: str) -> range | list[int]:
+    """'3..12' (inclusive), '2,3', or '5' -> non-empty range or list of ints.
+
+    A range is never listed, so a huge one costs nothing until it is read.
+    """
     text = text.strip()
     if ".." in text:
         lo, _, hi = text.partition("..")
-        values = list(range(int(lo), int(hi) + 1))
+        values = range(int(lo), int(hi) + 1)
     else:
         values = [int(p) for p in text.split(",") if p]
     if not values:
@@ -60,11 +62,14 @@ def _parse_values(text: str) -> list[int]:
     return values
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(text: str | Iterable[str], out: Optional[str]) -> None:
+    """Write a text, or each line of an iterable as it is made, to ``out`` or stdout."""
+    lines = (text,) if isinstance(text, str) else text
     if out:
-        Path(out).write_text(text)
+        with open(out, "w") as f:
+            f.writelines(lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
 
 
 def _load_graph(path: str) -> Graph:
@@ -162,18 +167,22 @@ def _cmd_classes(args: argparse.Namespace) -> int:
 
 def _cmd_audit(args: argparse.Namespace) -> int:
     theorem = args.theorem
-    axes = [_parse_values(args.m), _parse_values(args.n)]
+    ms, ns = _parse_values(args.m), _parse_values(args.n)
+    # nested loops, not itertools.product, which would list every axis
     if AUDITS[theorem.upper()][0] == 3:
         if args.k is None:
             raise ValueError(f"theorem {theorem} needs --k")
-        axes.append(_parse_values(args.k))
+        ks = _parse_values(args.k)
+        points = ((m, n, k) for m in ms for n in ns for k in ks)
     elif args.k is not None:
         raise ValueError(f"theorem {theorem} does not read --k")
+    else:
+        points = ((m, n) for m in ms for n in ns)
     if args.d < 1:  # no count reads --d, so it is checked here and nowhere else
         raise ValueError("difference must be positive")
-    # a stream: each record is rendered as it is made and none is kept
-    records = (audit_point(theorem, point) for point in itertools.product(*axes))
-    _emit(serialize_audit(records, fmt=args.format), args.out)
+    # a stream: each record is made, rendered and written in turn, and none is kept
+    records = map(audit_point, repeat(theorem), points)
+    _emit(audit_lines(records, fmt=args.format), args.out)
     return 0
 
 

@@ -11,10 +11,10 @@ ordered pair under its sum.  Closed-form counts for structured label
 pairs are exposed as predictions and checked by ``audit``, which needs
 only how many pairs share each sum.  That count is the coefficient of
 z^s in A(z)B(z), the product of the indicator polynomials of the two
-labels.  The audit's witness labels are progressions, so their
-indicators are geometric series: each is built in closed form by
-shifts and one exact division, no set is materialised, and one big-int
-product of the two gives every class size exactly.  That product, not
+labels.  The audit's witness labels are progressions, so each packed
+indicator is one byte pattern repeated, a 1 and then zeros, built by
+one bytes repeat: no set is materialised, and one big-int product of
+the two gives every class size exactly.  That product, not
 any closed form for the sizes, is the observation the predictions are
 checked against.  The audit trusts it: a failed prediction is reported
 as a mismatch, never raised, so a sweep always classifies its whole
@@ -45,10 +45,11 @@ class ClassProfile:
     size_histogram: Mapping[int, int]  # class size -> how many classes
 
 
-def _counts(histogram: Mapping[int, int], cap: int) -> dict[str, int]:
-    """The class counts read off a class-size histogram; ``cap`` is min(|A|, |B|)."""
+def _observe(histogram: Mapping[int, int], cap: int) -> dict[str, object]:
+    """A class-size histogram and the five counts read off it; ``cap`` is min(|A|, |B|)."""
     top = max(histogram)
     return {
+        "histogram": histogram,
         "class_count": sum(histogram.values()),
         "saturated_size": cap,
         "saturated_count": histogram.get(cap, 0),
@@ -65,19 +66,22 @@ def compat_partition(a: IntSet | Ints, b: IntSet | Ints) -> ClassProfile:
         for y in sb:
             classes.setdefault(x + y, []).append((x, y))
     fixed = {s: tuple(sorted(classes[s])) for s in sorted(classes)}
-    h = dict(sorted(Counter(map(len, fixed.values())).items()))
+    observed = _observe(dict(sorted(Counter(map(len, fixed.values())).items())),
+                        min(len(sa), len(sb)))
     return ClassProfile(
-        fixed, len(sa) * len(sb), size_histogram=h, **_counts(h, min(len(sa), len(sb)))
+        fixed, len(sa) * len(sb), size_histogram=observed.pop("histogram"), **observed
     )
 
 
 def _packed_indicator(length: int, step: int, bits: int) -> int:
     """The indicator polynomial of AP(0, step, length) at z = 2^bits.
 
-    That is the geometric series sum of z^(step*i) for i < length, so it
-    equals (z^(step*length) - 1) / (z^step - 1), an exact division.
+    That is the sum of z^(step*i) for i < length.  ``bits`` is a whole
+    number of bytes, so the integer's little-endian bytes are one
+    coefficient pattern repeated length times: a byte 1 and then zeros,
+    step*bits/8 bytes in all.
     """
-    return ((1 << bits * step * length) - 1) // ((1 << bits * step) - 1)
+    return int.from_bytes(b"\x01".ljust(step * bits // 8, b"\0") * length, "little")
 
 
 def _class_histogram(m: int, n: int, k: int) -> dict[int, int]:
@@ -88,12 +92,14 @@ def _class_histogram(m: int, n: int, k: int) -> dict[int, int]:
     progressions.  Each polynomial is packed into one integer, w bytes
     per coefficient (Kronecker substitution, z = X = 2^(8w)), and one
     big-int product yields all coefficients.  No coefficient exceeds
-    min(m, n), so w bytes hold it and no carry reaches the next one, and
-    counting each size from 1 to min(m, n) finds every class.
+    min(m, n), so w bytes hold it and no carry reaches the next one.
+    Each nonzero coefficient is one class, so counting sizes upward from
+    1 finds every class and stops at the largest, once the counts add up
+    to the nonzero coefficients.
 
-    The packed indicators are geometric series, A(X) = (X^m - 1)/(X - 1)
-    and B(X) = (X^(kn) - 1)/(X^k - 1), so each is built by shifts and
-    one exact division; the product and its byte count stay the
+    The packed indicators are A(X) = 1 + X + ... + X^(m-1) and
+    B(X) = 1 + X^k + ... + X^(k(n-1)), so each is one coefficient
+    pattern repeated as bytes; the product and its byte count stay the
     observation the predictions are checked against.  The audit's
     canonical pair AP(0, d, m), AP(0, kd, n) shifted to 0 and divided by
     its gcd d is this pair, so d changes no count: that is why the audit
@@ -105,14 +111,23 @@ def _class_histogram(m: int, n: int, k: int) -> dict[int, int]:
     """
     w = (min(m, n).bit_length() + 7) // 8
     product = _packed_indicator(m, 1, 8 * w) * _packed_indicator(n, k, 8 * w)
-    coeffs = product.to_bytes(w * (m + k * (n - 1)), "little")
+    length = m + k * (n - 1)
+    coeffs = product.to_bytes(w * length, "little")
     if w == 1:  # at most 255 sizes, each counted by one scan of the bytes
         count = coeffs.count
     else:  # a scan per size would be quadratic here, so tally once
         count = Counter(
             int.from_bytes(coeffs[i : i + w], "little") for i in range(0, len(coeffs), w)
         ).__getitem__
-    return {size: c for size in range(1, min(m, n) + 1) if (c := count(size))}
+    histogram: dict[int, int] = {}
+    left = length - count(0)  # classes not yet counted
+    size = 0
+    while left:
+        size += 1
+        if c := count(size):
+            histogram[size] = c
+            left -= c
+    return histogram
 
 
 @dataclass(frozen=True)
@@ -138,12 +153,13 @@ def predict_iso(m: int, n: int) -> Prediction:
     Arguments normalize to m >= n.  The claim: saturated classes number
     m - n + 1, every size below the cap occurs in exactly two classes.
     """
-    _require_ints(m=m, n=n)
+    if type(m) is not int or type(n) is not int:
+        _require_ints(m=m, n=n)
     if m < n:
         m, n = n, m
     if n < 3:
         raise ValueError("label sizes must be at least 3")
-    histogram = {p: 2 for p in range(1, n)}
+    histogram = dict.fromkeys(range(1, n), 2)
     histogram[n] = m - n + 1
     return Prediction(
         theorem="T-NCC",
@@ -158,7 +174,8 @@ def predict_iso(m: int, n: int) -> Prediction:
 
 def _check_bi(m: int, n: int, k: int) -> None:
     """The rules both biarithmetic predictors share: ints, sizes >= 3, 2 <= k <= m."""
-    _require_ints(m=m, n=n, k=k)
+    if type(m) is not int or type(n) is not int or type(k) is not int:
+        _require_ints(m=m, n=n, k=k)
     if n < 3 or m < 3:
         raise ValueError("label sizes must be at least 3")
     if k < 2:
@@ -180,7 +197,7 @@ def predict_bi_saturated(m: int, n: int, k: int) -> Prediction:
     r = m - (n - 1) * k
     if r < 0:
         raise ValueError("saturated regime needs m >= (n-1)k")
-    histogram = {p: 2 * k for p in range(1, n)}
+    histogram = dict.fromkeys(range(1, n), 2 * k)
     if r > 0:
         histogram[n] = r
     return Prediction(
@@ -214,7 +231,8 @@ def predict_bi_maximal(m: int, n: int, k: int) -> Prediction:
 
 def predict_edge_sin(m: int, n: int, k: int) -> int:
     """Edge label cardinality m + k(n - 1) for ratio k with 1 <= k <= m."""
-    _require_ints(m=m, n=n, k=k)
+    if type(m) is not int or type(n) is not int or type(k) is not int:
+        _require_ints(m=m, n=n, k=k)
     if m < 1 or n < 1:
         raise ValueError("sizes must be positive")
     if not 1 <= k <= m:
@@ -287,7 +305,8 @@ def _predict(theorem: str, point: GridPoint) -> Prediction:
 
 def audit_point(theorem: str, point: GridPoint) -> AuditRecord:
     """Predict, count the classes of the canonical pair, compare."""
-    point = tuple(point) if isinstance(point, Iterable) else point
+    if type(point) is not tuple and isinstance(point, Iterable):
+        point = tuple(point)
     try:
         pred = _predict(theorem, point)
     except ValueError as exc:
@@ -296,13 +315,11 @@ def audit_point(theorem: str, point: GridPoint) -> AuditRecord:
         pseudo = Prediction(str(theorem).upper(), params, {})
         return AuditRecord(pseudo, None, "skipped", (str(exc),))
     m, n, k = pred.params["m"], pred.params["n"], pred.params.get("k", 1)
-    histogram = _class_histogram(m, n, k)
-    observed = {"histogram": histogram, **_counts(histogram, min(m, n))}
-    detail = tuple(
-        f"{key}: predicted {want!r}, observed {observed[key]!r} <-- differs"
-        for key, want in pred.expected.items()
-        if observed[key] != want
-    )
+    observed = _observe(_class_histogram(m, n, k), min(m, n))
+    detail: tuple[str, ...] = ()
+    for key, want in pred.expected.items():
+        if observed[key] != want:
+            detail += (f"{key}: predicted {want!r}, observed {observed[key]!r} <-- differs",)
     return AuditRecord(pred, observed, "mismatch" if detail else "match", detail)
 
 

@@ -18,7 +18,7 @@ import dataclasses
 import re
 import sys
 from collections import Counter
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from typing import Optional
 
 from .compat import AuditRecord, ClassProfile
@@ -176,15 +176,16 @@ def parse_labeling(text: str) -> Labeling:
 
 def format_histogram(h: Mapping[int, int]) -> str:
     """Render ``{1:4, 2:5, 3:2}`` with keys ascending."""
-    inner = ", ".join(f"{k}:{h[k]}" for k in sorted(h))
-    return "{" + inner + "}"
+    return "{" + ", ".join([f"{k}:{h[k]}" for k in sorted(h)]) + "}"
 
 
 def _compact_histogram(h: Mapping[int, int]) -> str:
-    return ",".join(f"{k}:{h[k]}" for k in sorted(h))
+    return ",".join([f"{k}:{h[k]}" for k in sorted(h)])
 
 
 def _fmt(value: object, compact: bool = False) -> str:
+    if type(value) is int:  # the common case, decided before the ABC check
+        return str(value)
     if isinstance(value, Mapping):
         return _compact_histogram(value) if compact else format_histogram(value)
     if value is None:
@@ -203,12 +204,14 @@ def _prints_alike(a: object, b: object) -> bool:
     """
     if a is b:
         return True
+    if type(a) is int:
+        return type(b) is int and a == b
     if isinstance(a, Mapping):
         if not isinstance(b, Mapping) or a != b:
             return False
         types = {*map(type, a), *map(type, a.values()), *map(type, b), *map(type, b.values())}
         return types <= {int}
-    return type(a) is int and type(b) is int and a == b
+    return False
 
 
 # --- verification reports --------------------------------------------------
@@ -283,33 +286,36 @@ def serialize_profile(p: ClassProfile, fmt: str = "text") -> str:
 
 
 def _params_str(params: Mapping[str, int]) -> str:
-    return " ".join(f"{k}={v}" for k, v in params.items())
+    return " ".join([f"{k}={v}" for k, v in params.items()])
 
 
-def serialize_audit(records: Iterable[AuditRecord], fmt: str = "text") -> str:
-    """One line per record, then a summary line of the verdict counts.
+def audit_lines(records: Iterable[AuditRecord], fmt: str = "text") -> Iterator[str]:
+    """One line per record, then a summary line of the verdict counts, each ending in '\\n'.
 
     ``records`` is read once and no record is kept: each is rendered as
     it arrives and only its verdict is tallied, so a generator of
-    records costs the output text and one record at a time.
+    records costs one record and one line at a time.
     """
     if fmt not in ("text", "structured"):
         raise ValueError(f"unknown audit format {fmt!r}")
     render = _audit_fields if fmt == "structured" else _audit_text
     tally: Counter[str] = Counter()
-    lines = []
     for rec in records:
         tally[rec.verdict] += 1
-        lines.append(render(rec))
+        yield render(rec) + "\n"
     total, match = sum(tally.values()), tally["match"]
     if match == total:
-        lines.append(f"all {total} grid points match")
+        yield f"all {total} grid points match\n"
     else:
-        lines.append(
+        yield (
             f"{total} grid points: {match} match, {tally['mismatch']} mismatch, "
-            f"{tally['skipped']} skipped"
+            f"{tally['skipped']} skipped\n"
         )
-    return "\n".join(lines) + "\n"
+
+
+def serialize_audit(records: Iterable[AuditRecord], fmt: str = "text") -> str:
+    """The lines of ``audit_lines`` as one text."""
+    return "".join(audit_lines(records, fmt))
 
 
 def _audit_fields(rec: AuditRecord) -> str:
@@ -327,7 +333,7 @@ def _audit_fields(rec: AuditRecord) -> str:
         parts.append(f"observed.histogram={_fmt(observed['histogram'], compact=True)}")
     if rec.verdict == "skipped":
         parts.append(f'reason="{rec.detail[0]}"')
-    return " ".join(x for x in parts if x)
+    return " ".join(filter(None, parts))
 
 
 def _audit_text(rec: AuditRecord) -> str:

@@ -8,8 +8,11 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import os
 import subprocess
 import sys
+import threading
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -17,6 +20,7 @@ import pytest
 from iasi import (
     ConstructionError,
     audit,
+    audit_point,
     cli,
     complete,
     construct,
@@ -518,6 +522,42 @@ def test_audit_nonpositive_difference_is_refused_on_every_grid(run, tmp_path, gr
             2, "", "error: difference must be positive\n"
         )
     assert not out.exists()
+
+
+def test_parse_values_keeps_a_range_unlisted():
+    values = cli._parse_values("3..100000000000000")
+    assert isinstance(values, range) and values == range(3, 10**14 + 1)
+
+
+# the child caps its own address space, so listing an axis of 10**14
+# values fails at once and the host is never at risk
+STREAM_CHILD = """
+import resource, sys
+limit = 512 * 2**20
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from iasi.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_audit_streams_a_huge_axis_under_a_memory_limit():
+    argv = ["audit", "--theorem", "t-ncc", "--m", "3..100000000000000", "--n", "3"]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", STREAM_CHILD, *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    # a child that writes nothing is killed after a few seconds, which ends readline
+    watchdog = threading.Timer(10, proc.kill)
+    watchdog.start()
+    try:
+        lines = [proc.stdout.readline() for _ in range(3)]
+    finally:
+        watchdog.cancel()
+        proc.kill()
+        _, err = proc.communicate(timeout=30)
+    want = serialize_audit([audit_point("t-ncc", (m, 3)) for m in (3, 4, 5)])
+    assert lines == want.splitlines(keepends=True)[:3], err
 
 
 # --- search ----------------------------------------------------------------------

@@ -240,6 +240,22 @@ def test_audit_point_skips_members_that_are_not_ints():
         assert rec.detail == (reason,)
 
 
+@pytest.mark.parametrize("theorem, point", [("T-NCC", (4, 3)), ("T-NMCC-II", (5, 4, 3))])
+def test_audit_point_reads_any_iterable_point_as_its_tuple(theorem, point):
+    # a tuple takes a fast path; any other iterable is made a tuple first
+    want = audit_point(theorem, point)
+    keys = ["histogram", "class_count", "saturated_size", "saturated_count", "max_size", "max_count"]
+    assert list(want.observed) == keys
+    step = point[1] - point[0]
+    for other in (list(point), range(point[0], point[-1] + step, step), (x for x in point)):
+        got = audit_point(theorem, other)
+        assert got == want and list(got.observed) == keys
+    for bad in (5, None):
+        rec = audit_point(theorem, bad)
+        assert rec.verdict == "skipped"
+        assert rec.detail == (f"a point is a tuple of integers, got {bad!r}",)
+
+
 def test_audit_point_skips_points_of_the_wrong_length():
     # a point with more than three members used to raise IndexError
     cases = [

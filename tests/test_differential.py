@@ -559,6 +559,51 @@ def naive_serialize_audit(records, fmt="text"):
     return "\n".join(lines) + "\n"
 
 
+# the audit render without its fast paths, as their oracle: ``naive_fmt``
+# above is ``_fmt`` with no int fast path and ``_compact_histogram``
+# inlined, and the text lines are those of ``naive_serialize_audit``
+
+
+def slow_prints_alike(a, b):
+    if a is b:
+        return True
+    if isinstance(a, Mapping):
+        if not isinstance(b, Mapping) or a != b:
+            return False
+        types = {*map(type, a), *map(type, a.values()), *map(type, b), *map(type, b.values())}
+        return types <= {int}
+    return type(a) is int and type(b) is int and a == b
+
+
+def slow_params_str(params):
+    return " ".join(f"{k}={v}" for k, v in params.items())
+
+
+def slow_audit_fields(rec):
+    parts = [f"theorem={rec.prediction.theorem}", slow_params_str(rec.prediction.params),
+             f"verdict={rec.verdict}"]
+    observed = rec.observed
+    for key, want in rec.prediction.expected.items():
+        text = naive_fmt(want, compact=True)
+        parts.append(f"predicted.{key}={text}")
+        if observed is not None:
+            if not slow_prints_alike(observed[key], want):
+                text = naive_fmt(observed[key], compact=True)
+            parts.append(f"observed.{key}={text}")
+    if observed is not None and "histogram" not in rec.prediction.expected:
+        parts.append(f"observed.histogram={naive_fmt(observed['histogram'], compact=True)}")
+    if rec.verdict == "skipped":
+        parts.append(f'reason="{rec.detail[0]}"')
+    return " ".join(x for x in parts if x)
+
+
+def slow_serialize_audit(records, fmt):
+    if fmt == "text":
+        return naive_serialize_audit(records, fmt)
+    lines = [slow_audit_fields(rec) for rec in records]
+    return "\n".join([*lines, naive_summary_line(records)]) + "\n"
+
+
 def naive_summary_line(records):
     total = len(records)
     match = sum(1 for r in records if r.verdict == "match")
@@ -1161,11 +1206,12 @@ def equal_twin(draw, value):
 
 
 @st.composite
-def hand_records(draw):
+def hand_records(draw, audit_values=audit_values, histogram_values=histogram_values,
+                 params=st.just({"m": 4, "n": 3})):
     keys = draw(st.lists(st.sampled_from(OBSERVED_KEYS), unique=True, max_size=4))
     expected = {key: draw(audit_values) for key in keys}
     verdict = draw(st.sampled_from(["match", "mismatch", "skipped"]))
-    pred = Prediction(draw(st.sampled_from(AUDIT_IDS)).upper(), {"m": 4, "n": 3}, expected)
+    pred = Prediction(draw(st.sampled_from(AUDIT_IDS)).upper(), draw(params), expected)
     if verdict == "skipped":
         return AuditRecord(pred, None, verdict, ("out of regime",))
     observed = {}
@@ -1198,6 +1244,52 @@ def audit_records(draw):
 def test_serialize_audit_matches_per_value_formatting(records):
     for fmt in ("text", "structured"):
         assert serialize_audit(records, fmt=fmt) == naive_serialize_audit(records, fmt=fmt)
+
+
+# every kind of value a record can carry: int, bool, float, str and None,
+# and mappings whose keys are ints or bools
+render_scalars = st.one_of(
+    st.integers(-5, 300), st.booleans(), st.floats(), st.text(max_size=4), st.none()
+)
+render_histograms = st.dictionaries(
+    st.one_of(st.integers(0, 300), st.booleans()), st.one_of(st.integers(0, 300), st.booleans()),
+    max_size=5,
+)
+render_mappings = st.one_of(render_histograms, render_histograms.map(MappingProxyType))
+
+
+@st.composite
+def odd_member_records(draw):
+    """audit_point's record for a point with one member of any kind: a non-int is skipped."""
+    theorem, point = draw(audit_points())
+    i = draw(st.integers(0, len(point) - 1))
+    return audit_point(theorem, point[:i] + (draw(render_scalars),) + point[i + 1:])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(
+    st.one_of(
+        hand_records(
+            st.one_of(render_scalars, render_mappings), render_mappings,
+            st.dictionaries(st.sampled_from("mnkpqr"), render_scalars, max_size=4),
+        ),
+        odd_member_records(),
+    ),
+    max_size=6,
+))
+# values equal to the prediction that print otherwise: a bool for an int,
+# an int for a float, a bool key for an int key
+@example([AuditRecord(
+    Prediction("T-NCC", {"m": 4.0, "n": True},
+               {"saturated_count": 1, "class_count": 2.0, "histogram": {1: 2}}),
+    {"histogram": {True: 2}, "class_count": 2, "saturated_size": 3,
+     "saturated_count": True, "max_size": 1, "max_count": 2},
+    "match",
+    (),
+)])
+def test_audit_render_matches_the_render_without_fast_paths(records):
+    for fmt in ("text", "structured"):
+        assert serialize_audit(records, fmt=fmt) == slow_serialize_audit(records, fmt)
 
 
 @st.composite
