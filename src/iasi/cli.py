@@ -290,7 +290,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConstructionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (OSError, ValueError, MissingLabelError) as exc:  # ParseError is a ValueError
+    # ParseError is a ValueError; OverflowError is a lo..hi range past a C ssize_t
+    except (OSError, ValueError, OverflowError, MissingLabelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -48,7 +48,7 @@ from heapq import heapify, heappop, heappush
 from math import isqrt
 from typing import Optional
 
-from .graphs import Bipartition, Graph, _traverse, bipartition
+from .graphs import Graph, _traverse
 from .labeling import Labeling
 from .sets import _require_ints, ap_set, ap_sum
 from .verify import classify
@@ -74,27 +74,26 @@ class SizeLimitError(ConstructionError):
     """The graph is too large for the exhaustive search."""
 
 
-def _sides(g: Graph) -> Bipartition:
-    """The bipartition of g, for the kinds that size or scale by side."""
-    bip = bipartition(g)
-    if bip is None:
+def _sides(g: Graph) -> list[int]:
+    """Each vertex's side, 0 on side x, which holds each component's lowest vertex, else 1."""
+    comps, side = _traverse(g)
+    if not all(comp.bipartite for comp in comps):
         raise NotBipartiteError("graph has an odd cycle")
-    return bip
+    return side
 
 
 def _resolve_sizes(
     g: Graph,
     sizes: int | tuple[int, int] | Sequence[int] | dict[int, int],
-    bip: Optional[Bipartition] = None,
+    side: Optional[list[int]] = None,
 ) -> dict[int, int]:
-    """One int >= 3 per vertex from an int, a dict, V values, or, given bip, a side pair.
+    """One int >= 3 per vertex from an int, a dict, V values, or, given sides, a side pair.
 
     A dict key that is not a vertex, an exact int in range(V), raises
     ValueError rather than being dropped.
     """
-    if bip is not None and isinstance(sizes, tuple) and len(sizes) == 2:
-        x_size, y_size = sizes
-        out = {v: (x_size if v in bip.side_x else y_size) for v in g.vertices}
+    if side is not None and isinstance(sizes, tuple) and len(sizes) == 2:
+        out = {v: sizes[side[v]] for v in g.vertices}
     elif isinstance(sizes, dict):
         for v in sizes:
             if type(v) is not int or not 0 <= v < g.vertex_count:  # exact type: True is no vertex
@@ -201,9 +200,9 @@ def construct_bipartite_uniform_isoarithmetic(
 # --- proper-ratio families ---------------------------------------------
 
 
-def _side_diffs(g: Graph, bip: Bipartition, diff: int, ratio: int) -> dict[int, int]:
-    """Difference diff on side x and ratio * diff on side y."""
-    return {v: (diff if v in bip.side_x else ratio * diff) for v in g.vertices}
+def _ratio_diffs(g: Graph, level: Sequence[int] | dict[int, int], diff: int, ratio: int) -> dict[int, int]:
+    """Difference diff * ratio**level[v] at each vertex v."""
+    return {v: diff * ratio ** level[v] for v in g.vertices}
 
 
 def construct_identical_biarithmetic(
@@ -219,14 +218,14 @@ def construct_identical_biarithmetic(
     (the x side holds the smaller index on each edge).
     """
     _check_params(diff, ratio)
-    bip = _sides(g)
-    size_map = _resolve_sizes(g, sizes, bip)
-    low = min((size_map[v] for v in bip.side_x), default=None)
+    side = _sides(g)
+    size_map = _resolve_sizes(g, sizes, side)
+    low = min((size_map[v] for v in g.vertices if side[v] == 0), default=None)
     if low is not None and ratio > low:
         raise RatioBoundError(
             f"ratio {ratio} exceeds the smallest x-side label size {low}"
         )
-    return _assign(g, _side_diffs(g, bip, diff, ratio), size_map, seed)
+    return _assign(g, _ratio_diffs(g, side, diff, ratio), size_map, seed)
 
 
 def construct_strong_biarithmetic(
@@ -240,14 +239,14 @@ def construct_strong_biarithmetic(
     Side x must be uniformly sized; the y-side difference is that size
     times diff, so every edge label has the full product cardinality.
     """
-    bip = _sides(g)
-    size_map = _resolve_sizes(g, sizes, bip)
-    x_sizes = {size_map[v] for v in bip.side_x}
+    side = _sides(g)
+    size_map = _resolve_sizes(g, sizes, side)
+    x_sizes = {size_map[v] for v in g.vertices if side[v] == 0}
     if len(x_sizes) > 1:
         raise ValueError(f"x-side sizes must all be equal, got {sorted(x_sizes)}")
     _check_params(diff)
     ratio = x_sizes.pop() if x_sizes else 3
-    return _assign(g, _side_diffs(g, bip, diff, ratio), size_map, seed)
+    return _assign(g, _ratio_diffs(g, side, diff, ratio), size_map, seed)
 
 
 def _dsatur_levels(g: Graph) -> dict[int, int]:
@@ -329,8 +328,7 @@ def construct_biarithmetic(
                     f"vertex {v} needs a label of at least {required[v]} elements "
                     f"to stay above the edge ratios, got {size_map[v]}"
                 )
-    diffs = {v: diff * ratio ** level[v] for v in g.vertices}
-    return _assign(g, diffs, size_map, seed)
+    return _assign(g, _ratio_diffs(g, level, diff, ratio), size_map, seed)
 
 
 # --- componentwise uniform edge size ------------------------------------
@@ -344,33 +342,25 @@ def construct_componentwise_uniform(
 ) -> Labeling:
     """One shared difference, every edge label of the given cardinality.
 
-    Bipartite components split the size budget as evenly as the
-    constraint m + n - 1 = edge_size allows; other components need
-    edge_size odd so one size l = (edge_size + 1) / 2 can serve
-    everywhere.  Sizes below 3 make the request infeasible.
+    Colour 0 takes size m = ceil(edge_size / 2) and colour 1 size
+    n = edge_size + 1 - m, so m + n - 1 = edge_size.  Odd edge_size makes
+    m = n, so only even edge_size is refused on a component with an odd
+    cycle, where an edge joins one colour.  Sizes below 3 are infeasible.
     """
     _require_ints(edge_size=edge_size)
     _check_params(diff)
     r = edge_size
     if r < 5:
         raise InfeasibleError(f"edge size {r} needs label sizes below 3")
-    sizes: dict[int, int] = {}
     comps, colour = _traverse(g)
     for comp in comps:
-        if comp.bipartite:
-            m = (r + 1) // 2  # ceil(r/2); the split as balanced as m+n-1=r allows
-            n = r + 1 - m
-            for v in comp.order:
-                sizes[v] = m if colour[v] == 0 else n
-        elif r % 2 == 0:
+        if not comp.bipartite and r % 2 == 0:
             raise InfeasibleError(
                 f"component {tuple(sorted(comp.order))} has an odd cycle, "
                 f"so edge size {r} must be odd"
             )
-        else:
-            for v in comp.order:
-                sizes[v] = (r + 1) // 2
-    return _assign(g, {v: diff for v in g.vertices}, sizes, seed)
+    pair = ((r + 1) // 2, r + 1 - (r + 1) // 2)
+    return _assign(g, {v: diff for v in g.vertices}, {v: pair[colour[v]] for v in g.vertices}, seed)
 
 
 # --- one-call dispatcher -------------------------------------------------
@@ -477,8 +467,8 @@ def search_identical_biarithmetic(g: Graph, bound: SearchBound = SearchBound()) 
     the window has labels of difference d is skipped, partial maps
     included.  Proof sketch that this drops no witness: a label of
     difference d is fixed by its (size, first) pair, and the window
-    holds room(d) = sum over sizes of max(0, max_element - (size - 1)*d
-    + 1) such pairs.  Labels are injective, so the vertices on d need
+    holds room(d) such pairs, the sum over sizes of the lengths of
+    ``_firsts``.  Labels are injective, so the vertices on d need
     distinct pairs, and by pigeonhole a map with more than room(d) of
     them has no fill; nor has any extension of a partial one.
 
@@ -523,6 +513,11 @@ def search_identical_biarithmetic(g: Graph, bound: SearchBound = SearchBound()) 
     return None
 
 
+def _firsts(bound: SearchBound, size: int, d: int) -> range:
+    """The first terms of the window's labels of the given size and difference d."""
+    return range(bound.max_element - (size - 1) * d + 1)
+
+
 def _diff_assignments(
     g: Graph, order: list[int], twin: dict[int, int], ratio: int, bound: SearchBound
 ) -> Iterable[dict[int, int]]:
@@ -534,7 +529,7 @@ def _diff_assignments(
     pair that ``_fill_labels`` walks; room is computed when d is first
     tried, never tabulated over every difference up to max_diff.
     """
-    max_diff = bound.max_element // (min(bound.sizes) - 1)
+    max_diff = bound.max_element // (bound.sizes[0] - 1)
     room: dict[int, int] = {}
     crowd: Counter[int] = Counter()  # difference -> vertices of the partial map on it
 
@@ -548,18 +543,15 @@ def _diff_assignments(
         if not assigned:
             candidates = range(low, max_diff + 1)
         else:
-            opts: set[int] = set()
-            first = diffs[assigned[0]]
-            opts.add(first * ratio)
-            if first % ratio == 0:
-                opts.add(first // ratio)
-            for w in assigned[1:]:
-                keep = {d for d in opts if d == diffs[w] * ratio or d * ratio == diffs[w]}
-                opts = keep
-            candidates = sorted(d for d in opts if low <= d <= max_diff)
+            f = diffs[assigned[0]]  # every assigned neighbour must agree with d
+            candidates = [
+                d for d in sorted({f // ratio, f * ratio})
+                if low <= d <= max_diff
+                and all(d == diffs[w] * ratio or d * ratio == diffs[w] for w in assigned)
+            ]
         for d in candidates:
             if d not in room:
-                room[d] = sum(max(0, bound.max_element - (size - 1) * d + 1) for size in bound.sizes)
+                room[d] = sum(len(_firsts(bound, size, d)) for size in bound.sizes)
             if crowd[d] == room[d]:
                 continue
             diffs[v] = d
@@ -605,7 +597,7 @@ def _fill_labels(
             if size < low_size:
                 continue
             start = low_first if size == low_size else 0
-            for first in range(start, bound.max_element - (size - 1) * d + 1):
+            for first in _firsts(bound, size, d)[start:]:
                 key = (first, d, size)
                 if key in labels.values():
                     continue

@@ -9,8 +9,9 @@ through ``Graph._from_checked`` after checking every line, so a parsed
 graph is checked once, not a second time on creation.
 One breadth-first traversal, roots and neighbours in ascending order,
 gives every component's visiting order and a 2-colouring, and
-components, bipartition sides and the search's vertex order all read
-it, so each is reproducible bit for bit.
+components, bipartition sides, the sides of the constructors that size
+or scale by side, and the search's vertex order all read it, so each
+is reproducible bit for bit.
 """
 
 from __future__ import annotations

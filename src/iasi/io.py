@@ -254,28 +254,24 @@ def serialize_report(rep: VerificationReport, fmt: str = "text") -> str:
 
 
 def serialize_profile(p: ClassProfile, fmt: str = "text") -> str:
+    # the six counts: one line each when structured, the first line of text
+    counts = [
+        f"pairs={p.pair_count}",
+        f"classes={p.class_count}",
+        f"saturated_size={p.saturated_size}",
+        f"saturated_count={p.saturated_count}",
+        f"max_size={p.max_size}",
+        f"max_count={p.max_count}",
+    ]
     if fmt == "structured":
-        lines = [
-            f"pairs={p.pair_count}",
-            f"classes={p.class_count}",
-            f"saturated_size={p.saturated_size}",
-            f"saturated_count={p.saturated_count}",
-            f"max_size={p.max_size}",
-            f"max_count={p.max_count}",
-            f"histogram={_compact_histogram(p.size_histogram)}",
-        ]
+        lines = [*counts, f"histogram={_compact_histogram(p.size_histogram)}"]
         for s, pairs in p.classes.items():
             body = ";".join(f"{a},{b}" for a, b in pairs)
             lines.append(f"class.{s}={body}")
         return "\n".join(lines) + "\n"
     if fmt != "text":
         raise ValueError(f"unknown profile format {fmt!r}")
-    lines = [
-        f"pairs={p.pair_count} classes={p.class_count} "
-        f"saturated_size={p.saturated_size} saturated_count={p.saturated_count} "
-        f"max_size={p.max_size} max_count={p.max_count}",
-        f"histogram={format_histogram(p.size_histogram)}",
-    ]
+    lines = [" ".join(counts), f"histogram={format_histogram(p.size_histogram)}"]
     for s, pairs in p.classes.items():
         body = " ".join(f"({a},{b})" for a, b in pairs)
         lines.append(f"sum {s}: {body}")

@@ -529,6 +529,23 @@ def test_parse_values_keeps_a_range_unlisted():
     assert isinstance(values, range) and values == range(3, 10**14 + 1)
 
 
+HUGE = "100000000000000000000"  # 10**20: a range of it has more values than a C ssize_t holds
+
+
+@pytest.mark.parametrize("argv", [
+    ["classes", "--set-a", f"0..{HUGE}", "--set-b", "0,1"],
+    ["label", "--kind", "isoarithmetic", "--sizes", f"3..{HUGE}"],
+    ["search", "--sizes", f"3..{HUGE}"],
+    ["search", "--k", f"2..{HUGE}"],
+], ids=["classes-set-a", "label-sizes", "search-sizes", "search-k"])
+def test_range_past_ssize_t_is_input_error(run, tmp_path, argv):
+    if argv[0] != "classes":
+        argv = [argv[0], "--graph", write_graph(tmp_path, path(4)), *argv[1:]]
+    code, out, err = run(*argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
 # the child caps its own address space, so listing an axis of 10**14
 # values fails at once and the host is never at risk
 STREAM_CHILD = """

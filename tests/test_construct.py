@@ -139,7 +139,7 @@ def test_bipartite_uniform_rejects_odd_cycle():
 
 def test_side_kinds_bipartition_and_resolve_sizes_once(monkeypatch):
     calls: Counter[str] = Counter()
-    for name in ("bipartition", "_resolve_sizes"):
+    for name in ("_traverse", "_resolve_sizes"):
         original = getattr(construct_module, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -154,7 +154,7 @@ def test_side_kinds_bipartition_and_resolve_sizes_once(monkeypatch):
     for build in builds:
         calls.clear()
         build()
-        assert calls == {"bipartition": 1, "_resolve_sizes": 1}
+        assert calls == {"_traverse": 1, "_resolve_sizes": 1}
 
 
 # --- single-ratio constructors ------------------------------------------------

@@ -40,6 +40,13 @@ Constructors take first terms from the Erdos-Turan Sidon set
 before.  For every dispatcher kind on random graphs both pools must
 give equal ``classify`` reports, or the same exception, and labels
 with the same difference and size at every vertex.
+The four kinds with sides read them from ``_traverse``'s colouring;
+their oracle takes each vertex's difference and size from the public
+``bipartition`` sides, or for ``componentwise_uniform`` from a
+breadth-first search per component of its own, and states every
+refusal with its message.  On bipartite graphs, graphs with an odd
+component, isolated vertices and the empty graph, each label's
+difference and size, or the exception raised, must match.
 
 The exhaustive search compares labels by their progression triples
 and places twins (vertices with the same neighbours) in ascending
@@ -97,10 +104,13 @@ from iasi import (
     Bipartition,
     ClassProfile,
     ConstructionError,
+    InfeasibleError,
     IntSet,
     Labeling,
     MissingLabelError,
+    NotBipartiteError,
     Prediction,
+    RatioBoundError,
     SearchBound,
     VerificationReport,
     Violation,
@@ -1539,6 +1549,105 @@ def test_sidon_pool_matches_doubling_pool(case):
         for v in g.vertices:
             assert detect_ap(lab.label(v))[1] == detect_ap(naive_lab.label(v))[1]
             assert len(lab.label(v)) == len(naive_lab.label(v))
+
+
+# --- side kinds: each vertex's difference and size from its side ---------------------
+
+
+def naive_component_colours(g):
+    """Per component, lowest root first: its BFS 0/1 colouring and whether it is proper."""
+    out = []
+    seen: set[int] = set()
+    for root in g.vertices:
+        if root in seen:
+            continue
+        colour = {root: 0}
+        for v in naive_bfs_order(g, root):
+            for w in naive_neighbors(g, v):
+                colour.setdefault(w, 1 - colour[v])
+        seen.update(colour)
+        proper = all(colour[u] != colour[v] for u, v in g.edges if u in colour)
+        out.append((colour, proper))
+    return out
+
+
+def naive_side_plan(g, kind, params):
+    """Each vertex's (difference, size) for a side kind, or the refusal it must raise."""
+    diff = params["diff"]
+    if kind == "componentwise_uniform":
+        r = params["edge_size"]
+        if r < 5:
+            return ("raised", InfeasibleError, f"edge size {r} needs label sizes below 3")
+        plan = {}
+        for colour, proper in naive_component_colours(g):
+            if not proper and r % 2 == 0:
+                return ("raised", InfeasibleError,
+                        f"component {tuple(sorted(colour))} has an odd cycle, so edge size {r} must be odd")
+            for v, c in colour.items():
+                m = -(-r // 2)
+                plan[v] = (diff, (m if c == 0 else r + 1 - m) if proper else (r + 1) // 2)
+        return ("returned", plan)
+    bip = bipartition(g)
+    if bip is None:
+        return ("raised", NotBipartiteError, "graph has an odd cycle")
+    m, n = params["sizes"]
+    size = {v: m if v in bip.side_x else n for v in g.vertices}
+    for v in g.vertices:
+        if size[v] < 3:
+            return ("raised", ValueError, f"label sizes must be at least 3, vertex {v} got {size[v]}")
+    ratio = {"identical_biarithmetic": params.get("ratio"), "strong_biarithmetic": m}.get(kind, 1)
+    if kind == "identical_biarithmetic" and bip.side_x and ratio > m:
+        return ("raised", RatioBoundError, f"ratio {ratio} exceeds the smallest x-side label size {m}")
+    return ("returned", {v: (diff if v in bip.side_x else diff * ratio, size[v]) for v in g.vertices})
+
+
+@st.composite
+def graphs_with_an_odd_component(draw):
+    """A bipartite graph beside an odd cycle, vertex ids shuffled."""
+    g = draw(bipartite_graphs(max_n=6))
+    k = draw(st.sampled_from([3, 5]))
+    n = g.vertex_count + k
+    edges = list(g.edges) + [(g.vertex_count + i, g.vertex_count + (i + 1) % k) for i in range(k)]
+    ids = draw(st.permutations(range(n)))
+    return graph(n, [(ids[u], ids[v]) for u, v in edges])
+
+
+@st.composite
+def side_kind_cases(draw):
+    kind = draw(st.sampled_from([
+        "bipartite_uniform_isoarithmetic", "identical_biarithmetic",
+        "strong_biarithmetic", "componentwise_uniform",
+    ]))
+    g = draw(st.one_of(
+        bipartite_graphs(max_n=9), bipartite_graphs(max_n=9), graphs_with_an_odd_component(),
+        graphs_with_an_odd_component(), graphs_with_isolated_vertices(), st.just(graph(0)),
+    ))
+    params = {"diff": draw(st.integers(1, 4)), "seed": draw(st.integers(0, 999))}
+    if kind == "componentwise_uniform":
+        params["edge_size"] = draw(st.integers(3, 10))
+    else:
+        # size 2 is outside every class, and the ratio may exceed the x-side size
+        params["sizes"] = draw(st.tuples(st.integers(2, 6), st.integers(2, 6)))
+    if kind == "identical_biarithmetic":
+        params["ratio"] = draw(st.integers(2, 5))
+    return g, kind, params
+
+
+@settings(max_examples=400, deadline=None)
+@given(side_kind_cases())
+@example((graph(0), "strong_biarithmetic", {"diff": 1, "seed": 0, "sizes": (4, 3)}))
+@example((graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)]), "componentwise_uniform",
+          {"diff": 1, "seed": 0, "edge_size": 6}))
+def test_side_kinds_match_sides_from_bipartition(case):
+    g, kind, params = case
+    want = naive_side_plan(g, kind, params)
+    try:
+        lab = construct(g, kind, **params)
+    except (ConstructionError, ValueError) as exc:
+        assert ("raised", type(exc), str(exc)) == want
+        return
+    got = {v: (detect_ap(lab.label(v))[1], len(lab.label(v))) for v in g.vertices}
+    assert ("returned", got) == want
 
 
 # --- parsers: one check per line, no second validation pass -----------------------------
