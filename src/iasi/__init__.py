@@ -44,7 +44,6 @@ from .graphs import (
     components,
     cycle,
     generate,
-    graph,
     path,
     star,
 )

@@ -46,8 +46,8 @@ from .sets import IntSet
 from .verify import classify
 
 
-def _parse_values(text: str) -> range | list[int]:
-    """'3..12' (inclusive), '2,3', or '5' -> non-empty range or list of ints.
+def _parse_values(flag: str, text: str) -> range | list[int]:
+    """'3..12' (inclusive), '2,3', or '5' given to ``flag`` -> non-empty range or list of ints.
 
     A range is never listed, so a huge one costs nothing until it is read.
     """
@@ -55,6 +55,8 @@ def _parse_values(text: str) -> range | list[int]:
     if ".." in text:
         lo, _, hi = text.partition("..")
         values = range(int(lo), int(hi) + 1)
+        if values.stop - values.start > sys.maxsize:
+            raise ValueError(f"{flag} {text!r} spans more than {sys.maxsize} values")
     else:
         values = [int(p) for p in text.split(",") if p]
     if not values:
@@ -103,7 +105,7 @@ def _cmd_label(args: argparse.Namespace) -> int:
             raise ValueError("give --sizes or --m/--n, not both")
         sizes = (args.m, args.n)
     elif args.sizes is not None:
-        values = _parse_values(args.sizes)
+        values = _parse_values("--sizes", args.sizes)
         sizes = values[0] if len(values) == 1 else tuple(values)
     else:
         sizes = None
@@ -147,8 +149,8 @@ def _cmd_classes(args: argparse.Namespace) -> int:
     if sets:
         if args.set_a is None or args.set_b is None:
             raise ValueError("--set-a and --set-b go together")
-        a = IntSet(tuple(_parse_values(args.set_a)))
-        b = IntSet(tuple(_parse_values(args.set_b)))
+        a = IntSet(tuple(_parse_values("--set-a", args.set_a)))
+        b = IntSet(tuple(_parse_values("--set-b", args.set_b)))
     elif args.labeling is not None and args.edge is not None:
         lab = _load_labeling(args.labeling)
         try:
@@ -167,12 +169,12 @@ def _cmd_classes(args: argparse.Namespace) -> int:
 
 def _cmd_audit(args: argparse.Namespace) -> int:
     theorem = args.theorem
-    ms, ns = _parse_values(args.m), _parse_values(args.n)
+    ms, ns = _parse_values("--m", args.m), _parse_values("--n", args.n)
     # nested loops, not itertools.product, which would list every axis
     if AUDITS[theorem.upper()][0] == 3:
         if args.k is None:
             raise ValueError(f"theorem {theorem} needs --k")
-        ks = _parse_values(args.k)
+        ks = _parse_values("--k", args.k)
         points = ((m, n, k) for m in ms for n in ns for k in ks)
     elif args.k is not None:
         raise ValueError(f"theorem {theorem} does not read --k")
@@ -190,8 +192,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     bound = SearchBound(
         max_element=args.max_elem,
-        sizes=tuple(_parse_values(args.sizes)),
-        ratios=tuple(_parse_values(args.k)),
+        sizes=tuple(_parse_values("--sizes", args.sizes)),
+        ratios=tuple(_parse_values("--k", args.k)),
     )
     witness = search_identical_biarithmetic(g, bound)
     if witness is None:

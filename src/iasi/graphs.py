@@ -2,11 +2,10 @@
 
 Vertices are the integers ``0 .. vertex_count-1``.  Edges are unordered
 pairs stored normalized as ``(min, max)`` in one tuple, sorted once,
-so every reader walks them in one order.  ``Graph._freeze`` is the one
-place a Graph's edges and adjacency are set: ``Graph.__post_init__``
-calls it after checking every edge, and ``io.parse_graph`` reaches it
-through ``Graph._from_checked`` after checking every line, so a parsed
-graph is checked once, not a second time on creation.
+so every reader walks them in one order.  That tuple is all a Graph
+stores; ``Graph._freeze`` sets it, after ``__post_init__``'s checks or,
+through ``_from_checked``, for the parser and the generators, which
+check their own edges.  Adjacency is built on the first ``neighbors`` call.
 One breadth-first traversal, roots and neighbours in ascending order,
 gives every component's visiting order and a 2-colouring, and
 components, bipartition sides, the sides of the constructors that size
@@ -16,7 +15,8 @@ is reproducible bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
 from .sets import _require_ints
@@ -27,9 +27,7 @@ Edge = tuple[int, int]
 @dataclass(frozen=True)
 class Graph:
     vertex_count: int
-    edges: tuple[Edge, ...]
-    # ascending neighbours of each vertex, derived from edges
-    _adjacency: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    edges: tuple[Edge, ...] = ()
 
     def __post_init__(self) -> None:
         n = self.vertex_count
@@ -37,14 +35,13 @@ class Graph:
             raise ValueError("vertex count must be a non-negative integer")
         # a dict keeps the caller's order: edges given sorted sort in linear time
         norm: dict[Edge, None] = {}
-        for e in self.edges:
-            u, v = e
+        for u, v in self.edges:
             if type(u) is not int or type(v) is not int:
-                raise ValueError(f"edge {e} endpoints must be integers")
+                raise ValueError(f"edge {(u, v)} endpoints must be integers")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge {e} out of range for {n} vertices")
+                raise ValueError(f"edge {(u, v)} out of range for {n} vertices")
             norm[(u, v) if u < v else (v, u)] = None
         self._freeze(norm)
 
@@ -62,15 +59,18 @@ class Graph:
         return g
 
     def _freeze(self, edges: Iterable[Edge]) -> None:
-        """Set the sorted edges and the adjacency from checked, normalized edges."""
-        edges = tuple(sorted(edges))
+        """Store checked, normalized edges as the sorted tuple, the one stored form."""
+        object.__setattr__(self, "edges", tuple(sorted(edges)))
+
+    @cached_property
+    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Ascending neighbours of each vertex, built on the first ``neighbors`` call."""
         # x's edges (w, x), w < x, sort before its edges (x, w): neighbours append ascending
         adjacency: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for u, v in edges:
+        for u, v in self.edges:
             adjacency[u].append(v)
             adjacency[v].append(u)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "_adjacency", tuple(map(tuple, adjacency)))
+        return tuple(map(tuple, adjacency))
 
     @property
     def vertices(self) -> range:
@@ -86,12 +86,10 @@ class Graph:
         return self._adjacency[v]
 
     def isolated_vertices(self) -> tuple[int, ...]:
-        return tuple(v for v in self.vertices if not self._adjacency[v])
-
-
-def graph(vertex_count: int, edges: Iterable[Edge] = ()) -> Graph:
-    """Build a Graph from any iterable of vertex pairs, in any order and orientation."""
-    return Graph(vertex_count, tuple(map(tuple, edges)))
+        touched = bytearray(self.vertex_count)  # a byte per vertex, not a set of ints
+        for u, v in self.edges:
+            touched[u] = touched[v] = 1
+        return tuple(v for v in self.vertices if not touched[v])
 
 
 # --- traversal ---------------------------------------------------------
@@ -160,28 +158,28 @@ def path(n: int) -> Graph:
     _require_ints(n=n)
     if n < 1:
         raise ValueError("path needs at least one vertex")
-    return graph(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph._from_checked(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle(n: int) -> Graph:
     _require_ints(n=n)
     if n < 3:
         raise ValueError("cycle needs at least three vertices")
-    return graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph._from_checked(n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
 
 
 def complete(n: int) -> Graph:
     _require_ints(n=n)
     if n < 1:
         raise ValueError("complete graph needs at least one vertex")
-    return graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return Graph._from_checked(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def complete_bipartite(m: int, n: int) -> Graph:
     _require_ints(m=m, n=n)
     if m < 1 or n < 1:
         raise ValueError("both sides need at least one vertex")
-    return graph(m + n, [(i, m + j) for i in range(m) for j in range(n)])
+    return Graph._from_checked(m + n, [(i, m + j) for i in range(m) for j in range(n)])
 
 
 def star(leaves: int) -> Graph:
@@ -189,7 +187,7 @@ def star(leaves: int) -> Graph:
     _require_ints(leaves=leaves)
     if leaves < 1:
         raise ValueError("star needs at least one leaf")
-    return graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+    return Graph._from_checked(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
 # each kind's generator and the sizes it reads, in its argument order

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from iasi import Graph, IntSet, Labeling, ap_set, graph
+from iasi import Graph, IntSet, Labeling, ap_set
 
 
 def random_graph(rng: random.Random, max_n: int = 10, p: float = 0.4) -> Graph:
@@ -16,14 +16,14 @@ def random_graph(rng: random.Random, max_n: int = 10, p: float = 0.4) -> Graph:
         for v in range(u + 1, n)
         if rng.random() < p
     ]
-    return graph(n, edges)
+    return Graph(n, edges)
 
 
 def disjoint_union(a: Graph, b: Graph) -> Graph:
     """a, then b with its vertex ids shifted by a.vertex_count."""
     shift = a.vertex_count
     edges = [*a.edges, *((u + shift, v + shift) for u, v in b.edges)]
-    return graph(shift + b.vertex_count, edges)
+    return Graph(shift + b.vertex_count, edges)
 
 
 def witness_pair(m: int, n: int, k: int = 1, diff: int = 1) -> tuple[IntSet, IntSet]:

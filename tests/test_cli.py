@@ -19,13 +19,13 @@ import pytest
 
 from iasi import (
     ConstructionError,
+    Graph,
     audit,
     audit_point,
     cli,
     complete,
     construct,
     cycle,
-    graph,
     parse_graph,
     parse_labeling,
     path,
@@ -183,7 +183,7 @@ def test_label_agrees_with_the_library(run, tmp_path, kind):
     # two --sizes values used to mean per-vertex sizes on 2-vertex graphs
     # and per-side sizes elsewhere, while the library read them per side
     flags, fields = NEEDED.get(kind, ([], {}))
-    for g in [path(4), cycle(4), path(2), graph(2, [])]:
+    for g in [path(4), cycle(4), path(2), Graph(2, [])]:
         gpath = write_graph(tmp_path, g)
         per_vertex = (4, 5, 4, 6)[: g.vertex_count]
         forms = [
@@ -525,25 +525,26 @@ def test_audit_nonpositive_difference_is_refused_on_every_grid(run, tmp_path, gr
 
 
 def test_parse_values_keeps_a_range_unlisted():
-    values = cli._parse_values("3..100000000000000")
+    values = cli._parse_values("--m", "3..100000000000000")
     assert isinstance(values, range) and values == range(3, 10**14 + 1)
 
 
 HUGE = "100000000000000000000"  # 10**20: a range of it has more values than a C ssize_t holds
 
 
-@pytest.mark.parametrize("argv", [
-    ["classes", "--set-a", f"0..{HUGE}", "--set-b", "0,1"],
-    ["label", "--kind", "isoarithmetic", "--sizes", f"3..{HUGE}"],
-    ["search", "--sizes", f"3..{HUGE}"],
-    ["search", "--k", f"2..{HUGE}"],
+@pytest.mark.parametrize("argv, flag", [
+    (["classes", "--set-a", f"0..{HUGE}", "--set-b", "0,1"], "--set-a"),
+    (["label", "--kind", "isoarithmetic", "--sizes", f"3..{HUGE}"], "--sizes"),
+    (["search", "--sizes", f"3..{HUGE}"], "--sizes"),
+    (["search", "--k", f"2..{HUGE}"], "--k"),
 ], ids=["classes-set-a", "label-sizes", "search-sizes", "search-k"])
-def test_range_past_ssize_t_is_input_error(run, tmp_path, argv):
+def test_range_past_ssize_t_is_input_error(run, tmp_path, argv, flag):
     if argv[0] != "classes":
         argv = [argv[0], "--graph", write_graph(tmp_path, path(4)), *argv[1:]]
     code, out, err = run(*argv)
     assert code == 2 and out == ""
-    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"error: {flag} ") and err.count("\n") == 1 and "Traceback" not in err
+    assert f"{argv[argv.index(flag) + 1]!r}" in err
 
 
 # the child caps its own address space, so listing an axis of 10**14
@@ -575,6 +576,18 @@ def test_audit_streams_a_huge_axis_under_a_memory_limit():
         _, err = proc.communicate(timeout=30)
     want = serialize_audit([audit_point("t-ncc", (m, 3)) for m in (3, 4, 5)])
     assert lines == want.splitlines(keepends=True)[:3], err
+
+
+def test_audit_range_past_ssize_t_is_refused_before_the_sweep():
+    # in a child with a time limit: a sweep that started would never end
+    argv = ["audit", "--theorem", "t-ncc", "--m", f"3..{HUGE}", "--n", "3"]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-c", STREAM_CHILD, *argv],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: --m '3..{HUGE}' spans more than {sys.maxsize} values\n"
 
 
 # --- search ----------------------------------------------------------------------

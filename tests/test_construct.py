@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from iasi import (
     ConstructionError,
+    Graph,
     InfeasibleError,
     IntSet,
     Labeling,
@@ -39,7 +40,6 @@ from iasi import (
     cycle,
     edge_label,
     generate,
-    graph,
     path,
     search_identical_biarithmetic,
     serialize_labeling,
@@ -56,7 +56,7 @@ construct_module = importlib.import_module("iasi.construct")
 
 
 def test_isoarithmetic_on_assorted_graphs():
-    for g in [path(5), cycle(6), complete(4), star(4), graph(4, [])]:
+    for g in [path(5), cycle(6), complete(4), star(4), Graph(4, [])]:
         lab = construct_isoarithmetic(g, diff=3, sizes=4, seed=2)
         assert classify(g, lab).isoarithmetic
 
@@ -98,6 +98,9 @@ def test_size_dict_keys_must_be_vertices():
     ):
         with pytest.raises(ValueError, match="which is not a vertex of the graph"):
             call()
+    # and a vertex the dict misses is refused, not given a default size
+    with pytest.raises(ValueError, match="^no size given for vertex 1$"):
+        construct_isoarithmetic(path(3), sizes={0: 3, 2: 4})
 
 
 def test_side_pair_with_non_integer_member_names_the_bad_size():
@@ -217,7 +220,7 @@ def test_biarithmetic_auto_sizes_track_levels():
 
 def test_biarithmetic_crown_with_interleaved_ids_takes_two_levels():
     # sides are the even and the odd ids; colouring by ascending id needs 8 colours here
-    g = graph(16, [(2 * i, 2 * j + 1) for i in range(8) for j in range(8) if i != j])
+    g = Graph(16, [(2 * i, 2 * j + 1) for i in range(8) for j in range(8) if i != j])
     lab = construct_biarithmetic(g, ratio=2)
     assert {len(lab.label(v)) for v in g.vertices} == {3}
 
@@ -229,7 +232,7 @@ def test_biarithmetic_bipartite_graphs_take_two_levels(data):
     pairs = data.draw(st.sets(st.tuples(st.integers(0, x - 1), st.integers(0, y - 1)), min_size=1))
     ids = data.draw(st.permutations(range(x + y)))  # the sides' ids interleave
     k = data.draw(st.integers(2, 6))
-    g = graph(x + y, [(ids[a], ids[x + b]) for a, b in pairs])
+    g = Graph(x + y, [(ids[a], ids[x + b]) for a, b in pairs])
     lab = construct_biarithmetic(g, ratio=k)
     assert {len(lab.label(v)) for v in g.vertices} <= {3, max(3, k)}
 
@@ -240,7 +243,7 @@ def test_biarithmetic_depends_only_on_the_graph():
         g = random_graph(rng, max_n=14, p=0.5)
         pairs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges]
         rng.shuffle(pairs)
-        same = graph(g.vertex_count, pairs)
+        same = Graph(g.vertex_count, pairs)
         assert construct_biarithmetic(same, ratio=3) == construct_biarithmetic(g, ratio=3)
 
 
@@ -305,7 +308,7 @@ def test_default_pool_needs_no_repair():
 
 def test_first_terms_are_sidon():
     for n in range(1, 301):
-        lab = construct_isoarithmetic(graph(n, []), sizes=3)
+        lab = construct_isoarithmetic(Graph(n, []), sizes=3)
         firsts = [lab.label(v)[0] for v in range(n)]
         sums = [a + b for i, a in enumerate(firsts) for b in firsts[i + 1:]]
         assert len(set(sums)) == len(sums), n
@@ -591,8 +594,8 @@ def test_search_skips_ratios_above_every_size(monkeypatch):
 
     monkeypatch.setattr(construct_module, "_diff_assignments", counted)
     for g, bound in [
-        (graph(6, [(0, 1)]), SearchBound(max_element=23, sizes=(3, 4), ratios=(5,))),
-        (graph(7, [(2, 4), (3, 4)]), SearchBound(max_element=21, sizes=(4,), ratios=(5,))),
+        (Graph(6, [(0, 1)]), SearchBound(max_element=23, sizes=(3, 4), ratios=(5,))),
+        (Graph(7, [(2, 4), (3, 4)]), SearchBound(max_element=21, sizes=(4,), ratios=(5,))),
     ]:
         assert search_identical_biarithmetic(g, bound) is None
         assert calls["diffs"] == 0
@@ -680,7 +683,7 @@ def test_search_certifies_witness_through_classify(monkeypatch):
 
 
 def test_search_refuses_graphs_without_edges():
-    for g in [graph(1, []), graph(3, [])]:
+    for g in [Graph(1, []), Graph(3, [])]:
         with pytest.raises(InfeasibleError):
             search_identical_biarithmetic(g)
 

@@ -62,7 +62,7 @@ the prune binds often, must agree too.
 
 The parsers check each line once and build ``Graph`` and ``Labeling``
 without the constructors' second validation pass; their oracle is the
-parse-then-validate path through ``graph(n, edges)`` and
+parse-then-validate path through ``Graph(n, edges)`` and
 ``Labeling({v: IntSet(...)})``.  On serialized random graphs and
 labelings, and on texts with lines duplicated, swapped, dropped, blanked
 or retokenised, both must give the same object (for graphs also the same
@@ -75,7 +75,13 @@ non-ASCII character, which ``int()`` reads and the format never writes;
 the oracle finds it with a regular expression, line by line.  Graphs
 built from shuffled, reoriented edge lists and parsed from shuffled
 files must equal the canonical graph, keep their edges sorted and print
-byte for byte alike.
+byte for byte alike.  ``Graph(n, pairs)`` must give the graph of the
+pairs made tuples whatever container holds them, and name a bad pair
+alike; the generators skip its checks, and must equal it on the pairs
+that define each kind, in edges, neighbours and isolated vertices.
+Readers of the edge list (``serialize_graph``, ``classify``,
+``export_dot``) must leave a graph without adjacency, which the first
+``neighbors`` call builds.
 ``sets.ap_sum`` states once when two progressions sum to a progression;
 its oracle is ``detect_ap`` of the materialised sumset, under the rule's
 condition written out in the test.  ``detect_ap`` compares a set with
@@ -96,6 +102,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -104,6 +111,7 @@ from iasi import (
     Bipartition,
     ClassProfile,
     ConstructionError,
+    Graph,
     InfeasibleError,
     IntSet,
     Labeling,
@@ -124,7 +132,7 @@ from iasi import (
     construct,
     detect_ap,
     export_dot,
-    graph,
+    generate,
     parse_graph,
     parse_labeling,
     search_identical_biarithmetic,
@@ -780,7 +788,7 @@ def naive_parse_graph(text):
     if len(edges) != m:
         raise ParseError(f"header promised {m} edges, found {len(edges)}", len(lines))
     naive_check_plain_digits(text)
-    return graph(n, edges)
+    return Graph(n, edges)
 
 
 def naive_parse_labeling(text):
@@ -874,7 +882,7 @@ def graphs(draw, max_n=8):
     n = draw(st.integers(0, max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return graph(n, [e for e, k in zip(pairs, keep) if k])
+    return Graph(n, [e for e, k in zip(pairs, keep) if k])
 
 
 progressions = st.builds(
@@ -932,7 +940,7 @@ def planted_collisions(draw):
     order = draw(st.permutations(range(4)))
     pairs = [(0, 1), (2, 3)] + draw(st.lists(st.sampled_from([(0, 2), (0, 3), (1, 2), (1, 3)])))
     edges = {tuple(sorted((order[x], order[y]))) for x, y in pairs}
-    return graph(4, edges), Labeling({order[x]: s for x, s in enumerate(labels)})
+    return Graph(4, edges), Labeling({order[x]: s for x, s in enumerate(labels)})
 
 
 def outcome(fn, *args):
@@ -985,22 +993,22 @@ def sets(*elems):
 @settings(max_examples=600, deadline=None)
 @given(st.one_of(graphs_with_labelings(), graphs_with_labelings(tight_labels), planted_collisions()))
 # keyed {0,1,2}+{0,...,5} and built {0,1,2,3}+{0,4} share {0,...,7}
-@example((graph(4, [(0, 1), (2, 3)]), sets((0, 1, 2), (0, 1, 2, 3, 4, 5), (0, 1, 2, 3), (0, 4))))
+@example((Graph(4, [(0, 1), (2, 3)]), sets((0, 1, 2), (0, 1, 2, 3, 4, 5), (0, 1, 2, 3), (0, 4))))
 # a non-progression label whose built sumset {0,1,3}+{0,1,2} is the
 # progression keyed for {0,1,2}+{0,1,2,3} at the same vertex
-@example((graph(3, [(0, 1), (1, 2)]), sets((0, 1, 3), (0, 1, 2), (0, 1, 2, 3))))
+@example((Graph(3, [(0, 1), (1, 2)]), sets((0, 1, 3), (0, 1, 2), (0, 1, 2, 3))))
 # a tie in difference, ratios 2 and 3 within the size, a ratio of 3/2
-@example((graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]), aps((0, 2, 3), (1, 2, 4), (5, 4, 3), (9, 6, 3))))
+@example((Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]), aps((0, 2, 3), (1, 2, 4), (5, 4, 3), (9, 6, 3))))
 # ratio 4 above size 3, then a tie
-@example((graph(3, [(0, 1), (1, 2)]), aps((0, 1, 3), (10, 4, 3), (40, 4, 5))))
+@example((Graph(3, [(0, 1), (1, 2)]), aps((0, 1, 3), (10, 4, 3), (40, 4, 5))))
 # 1- and 2-element labels and a non-progression
-@example((graph(3, [(0, 1), (1, 2)]), sets((0,), (3, 5), (0, 1, 5))))
+@example((Graph(3, [(0, 1), (1, 2)]), sets((0,), (3, 5), (0, 1, 5))))
 # ratio 5 above size 3, not reported since the labels collide
-@example((graph(3, [(0, 1), (1, 2)]), aps((0, 1, 3), (0, 5, 3), (0, 1, 3))))
+@example((Graph(3, [(0, 1), (1, 2)]), aps((0, 1, 3), (0, 5, 3), (0, 1, 3))))
 # one label at four vertices, among them the last
-@example((graph(5, [(0, 1), (2, 3)]), aps((0, 1, 3), (0, 2, 3), (0, 1, 3), (0, 1, 3), (0, 1, 3))))
+@example((Graph(5, [(0, 1), (2, 3)]), aps((0, 1, 3), (0, 2, 3), (0, 1, 3), (0, 1, 3), (0, 1, 3))))
 # a gap at vertex 1 and a label at vertex 3 of a 3-vertex graph: the gap is raised
-@example((graph(3, [(0, 2)]), Labeling({0: ap_set(0, 1, 3), 2: ap_set(0, 2, 3), 3: ap_set(5, 1, 3)})))
+@example((Graph(3, [(0, 2)]), Labeling({0: ap_set(0, 1, 3), 2: ap_set(0, 2, 3), 3: ap_set(5, 1, 3)})))
 def test_classify_matches_sumset_table(case):
     g, lab = case
     assert outcome(classify, g, lab) == outcome(naive_table_classify, g, lab)
@@ -1008,14 +1016,14 @@ def test_classify_matches_sumset_table(case):
 
 def test_keyed_triple_never_aliases_built_elements():
     # (2, 5, 9) is the triple of the first edge label and the elements of the second
-    g = graph(4, [(0, 1), (2, 3)])
+    g = Graph(4, [(0, 1), (2, 3)])
     lab = sets((0, 5, 10, 15, 20), (2, 7, 12, 17, 22), (0,), (2, 5, 9))
     rep = classify(g, lab)
     assert rep.is_iasi and rep.violations == ()
 
 
 def test_keyed_edge_collides_with_built_progression():
-    g = graph(4, [(0, 1), (2, 3)])
+    g = Graph(4, [(0, 1), (2, 3)])
     lab = sets((0, 1, 2, 3), (0, 4), (0, 1, 2), (0, 1, 2, 3, 4, 5))
     rep = classify(g, lab)
     assert not rep.is_iasi and not rep.strong
@@ -1308,13 +1316,13 @@ def bipartite_graphs(draw, max_n=7):
     side = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if side[u] != side[v]]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return graph(n, [e for e, k in zip(pairs, keep) if k])
+    return Graph(n, [e for e, k in zip(pairs, keep) if k])
 
 
 @st.composite
 def complete_bipartite_graphs(draw):
     a, b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    return graph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+    return Graph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
 
 
 @st.composite
@@ -1324,15 +1332,15 @@ def cloned_graphs(draw):
     n, edges = g.vertex_count, set(g.edges)
     for _ in range(draw(st.integers(1, 3))):
         original = draw(st.integers(0, n - 1))
-        edges |= {tuple(sorted((n, w))) for w in naive_neighbors(graph(n, edges), original)}
+        edges |= {tuple(sorted((n, w))) for w in naive_neighbors(Graph(n, edges), original)}
         n += 1
-    return graph(n, edges)
+    return Graph(n, edges)
 
 
 @st.composite
 def graphs_with_isolated_vertices(draw):
     g = draw(graphs(max_n=5))
-    return graph(g.vertex_count + draw(st.integers(2, 3)), g.edges)
+    return Graph(g.vertex_count + draw(st.integers(2, 3)), g.edges)
 
 
 def search_graphs():
@@ -1400,7 +1408,7 @@ def crowded_windows(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(crowded_windows())
-@example((graph(8, [(u, 4 + v) for u in range(4) for v in range(4)]),
+@example((Graph(8, [(u, 4 + v) for u in range(4) for v in range(4)]),
           SearchBound(max_element=12, sizes=(4,), ratios=(4,))))
 def test_search_matches_sumset_search_on_crowded_windows(case):
     g, bound = case
@@ -1609,7 +1617,7 @@ def graphs_with_an_odd_component(draw):
     n = g.vertex_count + k
     edges = list(g.edges) + [(g.vertex_count + i, g.vertex_count + (i + 1) % k) for i in range(k)]
     ids = draw(st.permutations(range(n)))
-    return graph(n, [(ids[u], ids[v]) for u, v in edges])
+    return Graph(n, [(ids[u], ids[v]) for u, v in edges])
 
 
 @st.composite
@@ -1620,7 +1628,7 @@ def side_kind_cases(draw):
     ]))
     g = draw(st.one_of(
         bipartite_graphs(max_n=9), bipartite_graphs(max_n=9), graphs_with_an_odd_component(),
-        graphs_with_an_odd_component(), graphs_with_isolated_vertices(), st.just(graph(0)),
+        graphs_with_an_odd_component(), graphs_with_isolated_vertices(), st.just(Graph(0)),
     ))
     params = {"diff": draw(st.integers(1, 4)), "seed": draw(st.integers(0, 999))}
     if kind == "componentwise_uniform":
@@ -1635,8 +1643,8 @@ def side_kind_cases(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(side_kind_cases())
-@example((graph(0), "strong_biarithmetic", {"diff": 1, "seed": 0, "sizes": (4, 3)}))
-@example((graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)]), "componentwise_uniform",
+@example((Graph(0), "strong_biarithmetic", {"diff": 1, "seed": 0, "sizes": (4, 3)}))
+@example((Graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)]), "componentwise_uniform",
           {"diff": 1, "seed": 0, "edge_size": 6}))
 def test_side_kinds_match_sides_from_bipartition(case):
     g, kind, params = case
@@ -1772,7 +1780,7 @@ def test_edge_order_is_decided_once(case):
     g, edges, lab = case
     text = f"{g.vertex_count} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
     canonical = sorted({(min(e), max(e)) for e in edges})
-    for h in (graph(g.vertex_count, edges), parse_graph(text)):
+    for h in (Graph(g.vertex_count, edges), parse_graph(text)):
         assert h == g and hash(h) == hash(g)
         assert list(h.edges) == canonical
         for v in h.vertices:
@@ -1781,6 +1789,75 @@ def test_edge_order_is_decided_once(case):
         assert export_dot(h) == export_dot(g)
         assert export_dot(h, lab) == export_dot(g, lab)
         assert serialize_report(classify(h, lab)) == serialize_report(classify(g, lab))
+
+
+# --- one constructor: pairs in any container, generators unchecked ---------------------
+
+
+def head_graph(n, pairs):
+    """The oracle for ``Graph(n, pairs)``: every pair made a tuple first."""
+    return Graph(n, tuple(map(tuple, pairs)))
+
+
+# each generator's vertex count and pairs as the graph is defined, for the checked constructor
+GENERATED = {
+    "path": lambda n, m: (n, [(i, i + 1) for i in range(n - 1)]),
+    "cycle": lambda n, m: (n, [(i, (i + 1) % n) for i in range(n)]),
+    "complete": lambda n, m: (n, [(i, j) for i in range(n) for j in range(i + 1, n)]),
+    "complete_bipartite": lambda n, m: (m + n, [(i, m + j) for i in range(m) for j in range(n)]),
+    "star": lambda n, m: (n + 1, [(0, i) for i in range(1, n + 1)]),
+}
+
+
+def assert_same_graph(g, ref):
+    assert g == ref and hash(g) == hash(ref) and g.edges == ref.edges
+    nbrs = [naive_neighbors(ref, v) for v in ref.vertices]
+    assert [g.neighbors(v) for v in g.vertices] == [ref.neighbors(v) for v in ref.vertices] == nbrs
+    assert g.isolated_vertices() == ref.isolated_vertices() == tuple(v for v in ref.vertices if not nbrs[v])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(GENERATED)), st.integers(1, 40), st.integers(1, 8))
+def test_generators_match_the_checked_constructor(kind, n, m):
+    # the generators skip Graph's checks; the checked path on the same pairs is the oracle
+    n = max(n, 3) if kind == "cycle" else n
+    g = generate(kind, n=n, m=m if kind == "complete_bipartite" else None)
+    assert_same_graph(g, Graph(*GENERATED[kind](n, m)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(shuffled_graphs())
+def test_graph_takes_pairs_in_any_container(case):
+    g, edges, _ = case
+    want = head_graph(g.vertex_count, edges)
+    assert_same_graph(want, g)
+    for pairs in (edges, [list(e) for e in edges], (e for e in edges), [e[::-1] for e in edges]):
+        assert_same_graph(Graph(g.vertex_count, pairs), want)
+
+
+@pytest.mark.parametrize("pair", [[0, 5], [5, 0], [1, True], ["a", 1], [2, 2], [-1, 0]])
+def test_graph_names_a_bad_pair_alike_in_any_container(pair):
+    with pytest.raises(ValueError) as want:
+        head_graph(3, [(0, 1), pair])
+    for pairs in ([(0, 1), pair], [(0, 1), tuple(pair)], iter([(0, 1), pair])):
+        with pytest.raises(ValueError) as got:
+            Graph(3, pairs)
+        assert str(got.value) == str(want.value)
+
+
+def test_edge_list_readers_build_no_adjacency():
+    cases = [generate(kind, n=4, m=3 if kind == "complete_bipartite" else None) for kind in sorted(GENERATED)]
+    for g in [*cases, Graph(6, [(0, 1), (1, 2), (4, 5)])]:
+        text = serialize_graph(g)
+        assert "_adjacency" not in vars(g)
+        h = parse_graph(text)
+        lab = Labeling({v: ap_set(10 * v, v + 1, 3) for v in h.vertices})
+        classify(h, lab)
+        export_dot(h, lab)
+        assert "_adjacency" not in vars(h)
+        nbrs = tuple(naive_neighbors(h, v) for v in h.vertices)
+        assert tuple(h.neighbors(v) for v in h.vertices) == nbrs
+        assert vars(h)["_adjacency"] == nbrs
 
 
 # --- progressions: one comparison against a range ------------------------------------

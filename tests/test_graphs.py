@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 
 from iasi import (
+    Graph,
     bipartition,
     complete,
     complete_bipartite,
     components,
     cycle,
     generate,
-    graph,
     path,
     star,
 )
@@ -45,19 +45,19 @@ def has_odd_closed_walk(g) -> bool:
 
 
 def test_edges_normalize_and_validate():
-    g = graph(4, [(3, 0), (1, 2)])
+    g = Graph(4, [(3, 0), (1, 2)])
     assert g.edges == ((0, 3), (1, 2))
     assert 3 in g.neighbors(0) and 0 in g.neighbors(3)
     with pytest.raises(ValueError):
-        graph(3, [(0, 0)])
+        Graph(3, [(0, 0)])
     with pytest.raises(ValueError):
-        graph(3, [(0, 5)])
+        Graph(3, [(0, 5)])
     with pytest.raises(ValueError):
-        graph(3, [(0, True)])
+        Graph(3, [(0, True)])
     with pytest.raises(ValueError):
-        graph(3, [("a", 1)])
+        Graph(3, [("a", 1)])
     with pytest.raises(ValueError):
-        graph(True, [])
+        Graph(True, [])
 
 
 def test_neighbors_and_degrees():
@@ -65,7 +65,7 @@ def test_neighbors_and_degrees():
     assert g.neighbors(0) == (1, 2, 3)
     assert g.neighbors(2) == (0,)
     assert g.isolated_vertices() == ()
-    assert graph(3, [(0, 1)]).isolated_vertices() == (2,)
+    assert Graph(3, [(0, 1)]).isolated_vertices() == (2,)
 
 
 # --- generators --------------------------------------------------------------
@@ -81,6 +81,12 @@ def test_generator_shapes():
         cycle(2)
     with pytest.raises(ValueError):
         path(0)
+    with pytest.raises(ValueError, match="^complete graph needs at least one vertex$"):
+        complete(0)
+    with pytest.raises(ValueError, match="^both sides need at least one vertex$"):
+        complete_bipartite(0, 3)
+    with pytest.raises(ValueError, match="^star needs at least one leaf$"):
+        star(0)
 
 
 def test_generate_dispatch():
@@ -108,7 +114,7 @@ def test_components_examples():
     g = disjoint_union(path(3), complete(3))
     assert components(g) == [(0, 1, 2), (3, 4, 5)]
     assert components(complete(4)) == [(0, 1, 2, 3)]
-    assert components(graph(3)) == [(0,), (1,), (2,)]
+    assert components(Graph(3)) == [(0,), (1,), (2,)]
 
 
 def test_component_sizes_partition_vertices():

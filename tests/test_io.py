@@ -16,6 +16,7 @@ from itertools import product
 import pytest
 
 from iasi import (
+    Graph,
     Labeling,
     ParseError,
     ap_set,
@@ -28,7 +29,6 @@ from iasi import (
     cycle,
     export_dot,
     format_histogram,
-    graph,
     parse_graph,
     parse_labeling,
     path,
@@ -426,5 +426,5 @@ def test_export_dot_with_labels():
 
 
 def test_export_dot_isolated_vertices():
-    text = export_dot(graph(2, []))
+    text = export_dot(Graph(2, []))
     assert "--" not in text and "  1;" in text

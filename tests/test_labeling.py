@@ -56,6 +56,7 @@ def test_labeling_validates_and_sorts():
     lab = Labeling({3: (5, 1), 0: (2,)})
     assert lab.vertices() == (0, 3)
     assert lab.label(3).elems == (1, 5)
+    assert 3 in lab and 0 in lab and 1 not in lab and "3" not in lab
     with pytest.raises(ValueError):
         Labeling({-1: (0, 1)})
     with pytest.raises(ValueError):

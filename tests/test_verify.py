@@ -12,6 +12,7 @@ from itertools import combinations
 import pytest
 
 from iasi import (
+    Graph,
     Labeling,
     MissingLabelError,
     Violation,
@@ -24,7 +25,6 @@ from iasi import (
     cycle,
     detect_ap,
     edge_label,
-    graph,
     path,
     star,
     sumset,
@@ -298,7 +298,7 @@ def test_classify_handles_degenerate_labels_without_raising():
 
 
 def test_classify_warns_on_isolated_vertices():
-    g = graph(3, [(0, 1)])
+    g = Graph(3, [(0, 1)])
     lab = Labeling({0: (0, 1, 2), 1: (0, 2, 4), 2: (0, 3, 6)})
     rep = classify(g, lab)
     assert rep.is_iasi
@@ -350,7 +350,7 @@ def _restricted(g, lab, keep):
     both renumbered by position in keep."""
     at = {v: i for i, v in enumerate(keep)}
     edges = [(at[u], at[v]) for u, v in g.edges if u in at and v in at]
-    return graph(len(keep), edges), Labeling({at[v]: lab.label(v) for v in keep})
+    return Graph(len(keep), edges), Labeling({at[v]: lab.label(v) for v in keep})
 
 
 def _alternating_diffs(g):
