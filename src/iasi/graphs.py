@@ -2,10 +2,10 @@
 
 Vertices are the integers ``0 .. vertex_count-1``.  Edges are unordered
 pairs stored normalized as ``(min, max)`` in one tuple, sorted once,
-so every reader walks them in one order.  That tuple is all a Graph
-stores; ``Graph._freeze`` sets it, after ``__post_init__``'s checks or,
-through ``_from_checked``, for the parser and the generators, which
-check their own edges.  Adjacency is built on the first ``neighbors`` call.
+so every reader walks them in one order; no other form of them is
+stored.  ``Graph._freeze`` sets the tuple, after ``__post_init__``'s
+checks or, via ``_from_checked``, for the parser and the generators,
+which check their own edges.  Adjacency waits for the first ``neighbors`` call.
 One breadth-first traversal, roots and neighbours in ascending order,
 gives every component's visiting order and a 2-colouring, and
 components, bipartition sides, the sides of the constructors that size
