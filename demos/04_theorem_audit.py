@@ -1,8 +1,10 @@
 """Audit closed-form class counts against exhaustive enumeration.
 
-Each audit builds the canonical label pair for a grid point (two
-progressions whose differences stand in ratio k), enumerates its
-compatibility classes, and compares the closed-form prediction.  The
+Each audit counts the compatibility classes of the canonical label
+pair for a grid point (two progressions whose differences stand in
+ratio k) by size, from one product of the pair's packed indicator
+polynomials, without building either label, and compares the
+closed-form prediction with those counts.  The
 audit never raises on a failed prediction: the point is reported as a
 mismatch with the observed numbers next to the predicted ones, so a
 sweep always classifies its entire grid.

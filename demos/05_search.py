@@ -2,9 +2,10 @@
 
 A labeling with one edge ratio k > 1 everywhere two-colors the graph
 by vertex difference, so odd cycles can never carry one.  The search
-enumerates difference assignments first (odd cycles die there) and
-then fills in labels smallest-first, returning the least witness in
-its window or None.
+returns None for a graph with an odd cycle before it tries any
+difference assignment; otherwise it enumerates difference assignments
+and fills in labels smallest-first, returning the least witness in its
+window or None.
 """
 
 from iasi import (

@@ -43,7 +43,6 @@ from .graphs import (
     complete_bipartite,
     components,
     cycle,
-    generate,
     path,
     star,
 )

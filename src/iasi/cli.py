@@ -30,7 +30,7 @@ from .construct import (
     construct,
     search_identical_biarithmetic,
 )
-from .graphs import _KINDS, Graph, bipartition, generate
+from .graphs import Graph, bipartition, complete, complete_bipartite, cycle, path, star
 from .io import (
     audit_lines,
     export_dot,
@@ -51,16 +51,19 @@ def _parse_values(flag: str, text: str) -> range | list[int]:
 
     A range is never listed, so a huge one costs nothing until it is read.
     """
-    text = text.strip()
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        values = range(int(lo), int(hi) + 1)
-        if values.stop - values.start > sys.maxsize:
-            raise ValueError(f"{flag} {text!r} spans more than {sys.maxsize} values")
-    else:
-        values = [int(p) for p in text.split(",") if p]
+    body = text.strip()
+    try:
+        if ".." in body:
+            lo, _, hi = body.partition("..")
+            values = range(int(lo), int(hi) + 1)
+        else:
+            values = [int(p) for p in body.split(",") if p]
+    except ValueError:
+        raise ValueError(f"{flag} {text!r} is not a lo..hi range or a list of integers") from None
+    if isinstance(values, range) and values.stop - values.start > sys.maxsize:
+        raise ValueError(f"{flag} {text!r} spans more than {sys.maxsize} values")
     if not values:
-        raise ValueError(f"{text!r} gives no values")
+        raise ValueError(f"{flag} {text!r} gives no values")
     return values
 
 
@@ -74,22 +77,40 @@ def _emit(text: str | Iterable[str], out: Optional[str]) -> None:
         sys.stdout.writelines(lines)
 
 
-def _load_graph(path: str) -> Graph:
+def _load_graph(filename: str) -> Graph:
     # newline="": the parser, not universal newlines, decides where a line ends
-    with open(path, newline="") as f:
+    with open(filename, newline="") as f:
         return parse_graph(f.read())
 
 
-def _load_labeling(path: str) -> Labeling:
-    with open(path, newline="") as f:
+def _load_labeling(filename: str) -> Labeling:
+    with open(filename, newline="") as f:
         return parse_labeling(f.read())
 
 
 # --- verb handlers ---------------------------------------------------------
 
 
+# each gen --kind, in the order --help lists them: its generator and the
+# flags it reads, in the generator's argument order
+_GRAPHS = {
+    "complete": (complete, ("n",)),
+    "complete_bipartite": (complete_bipartite, ("m", "n")),
+    "cycle": (cycle, ("n",)),
+    "path": (path, ("n",)),
+    "star": (star, ("n",)),
+}
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
-    g = generate(args.kind, n=args.n, m=args.m)
+    build, reads = _GRAPHS[args.kind]
+    if args.n is None:
+        raise ValueError(f"kind {args.kind!r} needs --n")
+    if args.m is None and "m" in reads:
+        raise ValueError(f"{args.kind} needs --m and --n")
+    if args.m is not None and "m" not in reads:
+        raise ValueError(f"kind {args.kind!r} does not read --m")
+    g = build(*(getattr(args, flag) for flag in reads))
     if args.format == "dot":
         _emit(export_dot(g), args.out)
     else:
@@ -219,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("gen", help="generate a named graph as an edge list")
-    p.add_argument("--kind", required=True, choices=sorted(_KINDS))
+    p.add_argument("--kind", required=True, choices=_GRAPHS)
     p.add_argument("--n", type=int, help="order; leaf count for star; y side for complete_bipartite")
     p.add_argument("--m", type=int, help="x side for complete_bipartite")
     p.add_argument("--format", default="edgelist", choices=["edgelist", "dot"])

@@ -251,64 +251,43 @@ def _edge_sin_prediction(m: int, n: int, k: int) -> Prediction:
     )
 
 
-GridPoint = tuple[int, ...]
-
-
 _POINT_NAMES = ("m", "n", "k")
 
 
-def _slice(
-    predict: Callable[..., Prediction], theorem: str, reason: str
-) -> Callable[..., Prediction]:
-    """``predict`` restricted to the points it files under ``theorem``."""
-
-    def sliced(*point: int) -> Prediction:
-        pred = predict(*point)
-        if pred.theorem != theorem:
-            raise ValueError(reason)
-        return pred
-
-    return sliced
-
-
 # every audit id in upper case, in the order the CLI lists them: how many
-# members its points have, and the predictor they are passed to
-AUDITS: dict[str, tuple[int, Callable[..., Prediction]]] = {
-    "T-NCC": (2, predict_iso),
-    "T-NSC-II": (3, predict_bi_saturated),
-    "T-NMCC-II": (3, predict_bi_maximal),
-    "T-NMCC-II-Q0": (
-        3, _slice(predict_bi_maximal, "T-NMCC-II-q0", "point falls in the q > 0 slice")
-    ),
-    "T-NMCC-II-QPOS": (
-        3, _slice(predict_bi_maximal, "T-NMCC-II-qpos", "point falls in the q = 0 slice")
-    ),
-    "EDGE-SIN": (3, _edge_sin_prediction),
-    "EDGE-SIN-ISO": (3, _slice(_edge_sin_prediction, "EDGE-SIN-ISO", "iso slice needs k = 1")),
-    "EDGE-SIN-BI": (3, _slice(_edge_sin_prediction, "EDGE-SIN-BI", "bi slice needs k >= 2")),
+# members its points have, the predictor they are passed to, and for a
+# slice of a predictor's two cases, the reason a point the predictor
+# files under the other slice is skipped; a slice's theorem is its own id
+AUDITS: dict[str, tuple[int, Callable[..., Prediction], Optional[str]]] = {
+    "T-NCC": (2, predict_iso, None),
+    "T-NSC-II": (3, predict_bi_saturated, None),
+    "T-NMCC-II": (3, predict_bi_maximal, None),
+    "T-NMCC-II-Q0": (3, predict_bi_maximal, "point falls in the q > 0 slice"),
+    "T-NMCC-II-QPOS": (3, predict_bi_maximal, "point falls in the q = 0 slice"),
+    "EDGE-SIN": (3, _edge_sin_prediction, None),
+    "EDGE-SIN-ISO": (3, _edge_sin_prediction, "iso slice needs k = 1"),
+    "EDGE-SIN-BI": (3, _edge_sin_prediction, "bi slice needs k >= 2"),
 }
 
 
-def _predict(theorem: str, point: GridPoint) -> Prediction:
-    if not isinstance(point, tuple):
-        raise ValueError(f"a point is a tuple of integers, got {point!r}")
-    t = theorem.upper() if isinstance(theorem, str) else None
-    if t not in AUDITS:
-        raise ValueError(f"unknown theorem id {theorem!r}")
-    count, predict = AUDITS[t]
-    if len(point) != count:
-        names = ", ".join(_POINT_NAMES[:count])
-        plural = "" if len(point) == 1 else "s"
-        raise ValueError(f"{t} points are ({names}), got {len(point)} member{plural}")
-    return predict(*point)
-
-
-def audit_point(theorem: str, point: GridPoint) -> AuditRecord:
+def audit_point(theorem: str, point: tuple[int, ...]) -> AuditRecord:
     """Predict, count the classes of the canonical pair, compare."""
     if type(point) is not tuple and isinstance(point, Iterable):
         point = tuple(point)
     try:
-        pred = _predict(theorem, point)
+        if not isinstance(point, tuple):
+            raise ValueError(f"a point is a tuple of integers, got {point!r}")
+        t = theorem.upper() if isinstance(theorem, str) else None
+        if t not in AUDITS:
+            raise ValueError(f"unknown theorem id {theorem!r}")
+        count, predict, other_slice = AUDITS[t]
+        if len(point) != count:
+            names = ", ".join(_POINT_NAMES[:count])
+            plural = "" if len(point) == 1 else "s"
+            raise ValueError(f"{t} points are ({names}), got {len(point)} member{plural}")
+        pred = predict(*point)
+        if other_slice and pred.theorem.upper() != t:
+            raise ValueError(other_slice)
     except ValueError as exc:
         # a point with too many members is skipped; its reason gives the count
         params = dict(zip(_POINT_NAMES, point)) if isinstance(point, tuple) else {}
@@ -323,6 +302,6 @@ def audit_point(theorem: str, point: GridPoint) -> AuditRecord:
     return AuditRecord(pred, observed, "mismatch" if detail else "match", detail)
 
 
-def audit(theorem: str, grid: Iterable[GridPoint]) -> list[AuditRecord]:
+def audit(theorem: str, grid: Iterable[tuple[int, ...]]) -> list[AuditRecord]:
     """Sweep a parameter grid; every point gets exactly one record."""
     return [audit_point(theorem, p) for p in grid]

@@ -189,26 +189,3 @@ def star(leaves: int) -> Graph:
         raise ValueError("star needs at least one leaf")
     return Graph._from_checked(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
-
-# each kind's generator and the sizes it reads, in its argument order
-_KINDS = {
-    "path": (path, ("n",)),
-    "cycle": (cycle, ("n",)),
-    "complete": (complete, ("n",)),
-    "complete_bipartite": (complete_bipartite, ("m", "n")),
-    "star": (star, ("n",)),
-}
-
-
-def generate(kind: str, n: int | None = None, m: int | None = None) -> Graph:
-    """Dispatch on a kind name; complete_bipartite takes sides m and n, the rest n alone."""
-    if not isinstance(kind, str) or kind not in _KINDS:
-        raise ValueError(f"unknown graph kind {kind!r} (choose from {sorted(_KINDS)})")
-    build, reads = _KINDS[kind]
-    if n is None:
-        raise ValueError(f"kind {kind!r} needs --n")
-    if m is None and "m" in reads:
-        raise ValueError(f"{kind} needs --m and --n")
-    if m is not None and "m" not in reads:
-        raise ValueError(f"kind {kind!r} does not read --m")
-    return build(*map({"m": m, "n": n}.get, reads))

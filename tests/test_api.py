@@ -9,6 +9,10 @@ attribute load; a method or property only by an attribute load, so the
 builtin ``min`` is no use of a ``min`` property.  Definitions, imports,
 docstrings and comments do not count, and tests are not users: a name
 used only by tests goes.
+
+No module of the package imports a private name from a sibling but the
+two shared helpers in ``PRIVATE_IMPORTS``, so a table or wrapper kept
+private to one module is not read by another.
 """
 
 from __future__ import annotations
@@ -21,6 +25,9 @@ import iasi
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "iasi"
+
+# the private names a module may import from a sibling, as module.name
+PRIVATE_IMPORTS = {"graphs._traverse", "sets._require_ints"}
 
 
 def _exported() -> set[str]:
@@ -94,3 +101,30 @@ def test_every_export_has_a_user_outside_the_tests():
     # a method or property is read as an attribute: a bare name such as
     # the builtin min or max is no use of it
     assert sorted(members - attrs) == []
+
+
+def _private_imports(tree: ast.AST) -> set[str]:
+    """Each private name ``tree`` imports from a sibling module, as module.name."""
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom) or node.module is None:
+            continue
+        if node.level == 1:
+            module = node.module
+        elif node.level == 0 and node.module.startswith("iasi."):
+            module = node.module.removeprefix("iasi.")
+        else:
+            continue
+        found |= {f"{module}.{a.name}" for a in node.names if a.name.startswith("_")}
+    return found
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    probe = ast.parse("from .a import _x, y\nfrom iasi.b import _z\nfrom os import _exit\n")
+    assert _private_imports(probe) == {"a._x", "b._z"}
+    found = {
+        f"{path.stem}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in _private_imports(ast.parse(path.read_text())) - PRIVATE_IMPORTS
+    }
+    assert sorted(found) == []

@@ -24,6 +24,7 @@ from iasi import (
     audit_point,
     cli,
     complete,
+    complete_bipartite,
     construct,
     cycle,
     parse_graph,
@@ -32,6 +33,7 @@ from iasi import (
     serialize_audit,
     serialize_graph,
     serialize_labeling,
+    star,
 )
 from iasi.cli import build_parser, main
 from iasi.construct import KINDS
@@ -56,26 +58,46 @@ def write_graph(tmp_path, g, name="g.txt"):
 # --- gen ---------------------------------------------------------------------
 
 
+GEN_KINDS = ("complete", "complete_bipartite", "cycle", "path", "star")
+
+
 def test_gen_edge_list(run):
     code, out, err = run("gen", "--kind", "cycle", "--n", "4")
     assert code == 0 and err == ""
     assert parse_graph(out) == cycle(4)
+    # each kind reaches its own generator
+    for kind, g in zip(GEN_KINDS, (complete(4), complete_bipartite(3, 4), cycle(4), path(4), star(4))):
+        flags = ("--m", "3") if kind == "complete_bipartite" else ()
+        assert run("gen", "--kind", kind, "--n", "4", *flags) == (0, serialize_graph(g), "")
 
 
 def test_gen_complete_bipartite_takes_both_sides(run):
     code, out, _ = run("gen", "--kind", "complete_bipartite", "--m", "2", "--n", "3")
     assert code == 0
     assert parse_graph(out).edge_count == 6
+    assert run("gen", "--kind", "complete_bipartite", "--n", "3") == (
+        2, "", "error: complete_bipartite needs --m and --n\n"
+    )
 
 
 def test_gen_missing_order_is_usage_error(run):
-    code, _, err = run("gen", "--kind", "path")
-    assert code == 2 and "needs --n" in err
+    for kind in GEN_KINDS:
+        for flags in ((), ("--m", "9")):
+            assert run("gen", "--kind", kind, *flags) == (2, "", f"error: kind {kind!r} needs --n\n")
 
 
 def test_gen_m_for_a_kind_without_sides_is_usage_error(run):
-    code, out, err = run("gen", "--kind", "path", "--n", "3", "--m", "7")
-    assert (code, out, err) == (2, "", "error: kind 'path' does not read --m\n")
+    # only complete_bipartite reads --m; the other kinds refuse it rather than drop it
+    for kind in ("complete", "cycle", "path", "star"):
+        code, out, err = run("gen", "--kind", kind, "--n", "3", "--m", "7")
+        assert (code, out, err) == (2, "", f"error: kind {kind!r} does not read --m\n")
+
+
+def test_gen_unknown_kind_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--kind", "torus", "--n", "3"])
+    assert exc.value.code == 2
+    assert "argument --kind: invalid choice: 'torus'" in capsys.readouterr().err
 
 
 def test_gen_dot_format(run):
@@ -453,6 +475,15 @@ def test_audit_reports_mismatch_without_failing(run):
     assert "MISMATCH" in out and "{1:4, 2:5, 3:2}" in out
 
 
+def test_audit_skips_a_point_its_predictor_refuses(run):
+    assert run("audit", "--theorem", "edge-sin", "--m", "0", "--n", "3", "--k", "1") == (
+        0,
+        "EDGE-SIN m=0 n=3 k=1: skipped (sizes must be positive)\n"
+        "1 grid points: 0 match, 0 mismatch, 1 skipped\n",
+        "",
+    )
+
+
 def test_audit_ratio_theorem_needs_k(run):
     code, _, err = run("audit", "--theorem", "t-nsc-ii", "--m", "5..7", "--n", "3")
     assert code == 2 and "--k" in err
@@ -472,9 +503,9 @@ def test_audit_two_member_theorem_refuses_k(run):
 def test_audit_empty_range_is_usage_error(run, flags):
     # each used to audit an empty grid and print "all 0 grid points match"
     code, out, err = run("audit", *flags)
-    empty = next(v for v in flags if v in ("5..3", ",", "3..1"))
+    i = next(i for i, v in enumerate(flags) if v in ("5..3", ",", "3..1"))
     assert code == 2 and out == ""
-    assert err == f"error: {empty!r} gives no values\n"
+    assert err == f"error: {flags[i - 1]} {flags[i]!r} gives no values\n"
 
 
 def test_audit_structured_output(run):
@@ -545,6 +576,31 @@ def test_range_past_ssize_t_is_input_error(run, tmp_path, argv, flag):
     assert code == 2 and out == ""
     assert err.startswith(f"error: {flag} ") and err.count("\n") == 1 and "Traceback" not in err
     assert f"{argv[argv.index(flag) + 1]!r}" in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["label", "--kind", "isoarithmetic", "--sizes", None], "--sizes"),
+    (["classes", "--set-a", None, "--set-b", "0,1"], "--set-a"),
+    (["classes", "--set-a", "0,1", "--set-b", None], "--set-b"),
+    (["audit", "--theorem", "t-nsc-ii", "--m", None, "--n", "3", "--k", "2"], "--m"),
+    (["audit", "--theorem", "t-nsc-ii", "--m", "6", "--n", None, "--k", "2"], "--n"),
+    (["audit", "--theorem", "t-nsc-ii", "--m", "6", "--n", "3", "--k", None], "--k"),
+    (["search", "--sizes", None], "--sizes"),
+    (["search", "--k", None], "--k"),
+], ids=["label-sizes", "classes-set-a", "classes-set-b", "audit-m", "audit-n", "audit-k",
+        "search-sizes", "search-k"])
+@pytest.mark.parametrize("text, reason", [
+    ("5..3", "gives no values"),
+    (",", "gives no values"),
+    ("x", "is not a lo..hi range or a list of integers"),
+    ("a..3", "is not a lo..hi range or a list of integers"),
+    ("3..x", "is not a lo..hi range or a list of integers"),
+])
+def test_every_value_refusal_names_its_flag(run, tmp_path, argv, flag, text, reason):
+    argv = [text if a is None else a for a in argv]
+    if argv[0] in ("label", "search"):
+        argv = [argv[0], "--graph", write_graph(tmp_path, path(4)), *argv[1:]]
+    assert run(*argv) == (2, "", f"error: {flag} {text!r} {reason}\n")
 
 
 # the child caps its own address space, so listing an axis of 10**14

@@ -165,6 +165,8 @@ def test_predict_edge_sin_values():
         predict_edge_sin(3, 4, 4)
     with pytest.raises(ValueError):
         predict_edge_sin(3, 4, 0)
+    with pytest.raises(ValueError, match="^sizes must be positive$"):
+        predict_edge_sin(0, 3, 1)
 
 
 def test_predict_edge_sin_matches_enumeration():

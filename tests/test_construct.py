@@ -39,7 +39,6 @@ from iasi import (
     construct_strong_biarithmetic,
     cycle,
     edge_label,
-    generate,
     path,
     search_identical_biarithmetic,
     serialize_labeling,
@@ -351,13 +350,13 @@ def test_seed_must_be_an_integer():
         (lambda: complete("4"), "n must be an integer"),
         (lambda: complete_bipartite(2, True), "n must be an integer"),
         (lambda: star(None), "leaves must be an integer"),
-        (lambda: generate("star", n="3"), "leaves must be an integer"),
-        (lambda: generate("complete_bipartite", m=1.5, n=2), "m must be an integer"),
+        (lambda: star("3"), "leaves must be an integer"),
+        (lambda: complete_bipartite(1.5, 2), "m must be an integer"),
     ],
     ids=[
         "iso-diff", "bi-ratio", "identical-ratio", "spec-diff", "spec-ratio",
         "componentwise-bool", "componentwise-diff-first", "path", "cycle", "complete",
-        "complete-bipartite", "star", "generate-star", "generate-complete-bipartite",
+        "complete-bipartite", "star", "star-string", "complete-bipartite-float",
     ],
 )
 def test_parameters_must_be_exact_ints(call, match):

@@ -16,7 +16,9 @@ indicators built in closed form as geometric series; its oracle is
 the audit as it was when it listed every pair with
 ``compat_partition`` and counted every field from the pair lists, and
 records and their serialized text must match on every theorem id and
-alias, skipped points included.  The oracle builds its witness pair at
+alias, skipped points included.  The oracle resolves each id, its
+point arity and its slice from the public predictors and an id table
+of its own, so it shares no dispatch with the audit.  It builds its witness pair at
 a drawn difference, huge ones included, and the audit takes none: no
 count may depend on it.  A
 sweep gives one record per point and never raises, whatever the
@@ -128,21 +130,29 @@ from iasi import (
     bipartition,
     classify,
     compat_partition,
+    complete,
+    complete_bipartite,
     components,
     construct,
+    cycle,
     detect_ap,
     export_dot,
-    generate,
     parse_graph,
     parse_labeling,
+    path,
+    predict_bi_maximal,
+    predict_bi_saturated,
+    predict_edge_sin,
+    predict_iso,
     search_identical_biarithmetic,
     serialize_audit,
     serialize_graph,
     serialize_labeling,
     serialize_report,
+    star,
     sumset,
 )
-from iasi.compat import AUDITS, _class_histogram, _packed_indicator, _predict
+from iasi.compat import AUDITS, _class_histogram, _packed_indicator
 from iasi.construct import _certify, _dsatur_levels
 from iasi.graphs import _traverse
 from iasi.io import ParseError
@@ -490,9 +500,50 @@ def naive_observe(profile: ClassProfile, cap: int) -> dict[str, object]:
     }
 
 
+def naive_edge_sin(m, n, k):
+    """The edge cardinality claim as a prediction, for sizes of at least 3."""
+    count = predict_edge_sin(m, n, k)
+    if n < 3 or m < 3:
+        raise ValueError("label sizes must be at least 3")
+    return Prediction(
+        theorem="EDGE-SIN-ISO" if k == 1 else "EDGE-SIN-BI",
+        params={"m": m, "n": n, "k": k},
+        expected={"class_count": count},
+    )
+
+
+# the oracle's own id table: each id's point members, its predictor, and
+# for a slice the predicted theorem it keeps and why it skips any other
+NAIVE_AUDITS = {
+    "T-NCC": ("mn", predict_iso, None, None),
+    "T-NSC-II": ("mnk", predict_bi_saturated, None, None),
+    "T-NMCC-II": ("mnk", predict_bi_maximal, None, None),
+    "T-NMCC-II-Q0": ("mnk", predict_bi_maximal, "T-NMCC-II-q0", "point falls in the q > 0 slice"),
+    "T-NMCC-II-QPOS": ("mnk", predict_bi_maximal, "T-NMCC-II-qpos", "point falls in the q = 0 slice"),
+    "EDGE-SIN": ("mnk", naive_edge_sin, None, None),
+    "EDGE-SIN-ISO": ("mnk", naive_edge_sin, "EDGE-SIN-ISO", "iso slice needs k = 1"),
+    "EDGE-SIN-BI": ("mnk", naive_edge_sin, "EDGE-SIN-BI", "bi slice needs k >= 2"),
+}
+
+
+def naive_predict(theorem, point):
+    if not isinstance(point, tuple):
+        raise ValueError(f"a point is a tuple of integers, got {point!r}")
+    if not isinstance(theorem, str) or theorem.upper() not in NAIVE_AUDITS:
+        raise ValueError(f"unknown theorem id {theorem!r}")
+    names, predict, keep, reason = NAIVE_AUDITS[theorem.upper()]
+    if len(point) != len(names):
+        members = f"{len(point)} member" + ("" if len(point) == 1 else "s")
+        raise ValueError(f"{theorem.upper()} points are ({', '.join(names)}), got {members}")
+    pred = predict(*point)
+    if keep is not None and pred.theorem != keep:
+        raise ValueError(reason)
+    return pred
+
+
 def naive_audit_point(theorem, point, diff=1):
     try:
-        pred = _predict(theorem, point)
+        pred = naive_predict(theorem, point)
     except ValueError as exc:
         pseudo = Prediction(
             theorem=theorem.upper(),
@@ -1809,6 +1860,13 @@ GENERATED = {
 }
 
 
+def generated(kind, n, m):
+    """The generator of ``kind``: complete_bipartite takes sides m and n, the rest n alone."""
+    if kind == "complete_bipartite":
+        return complete_bipartite(m, n)
+    return {"path": path, "cycle": cycle, "complete": complete, "star": star}[kind](n)
+
+
 def assert_same_graph(g, ref):
     assert g == ref and hash(g) == hash(ref) and g.edges == ref.edges
     nbrs = [naive_neighbors(ref, v) for v in ref.vertices]
@@ -1821,7 +1879,7 @@ def assert_same_graph(g, ref):
 def test_generators_match_the_checked_constructor(kind, n, m):
     # the generators skip Graph's checks; the checked path on the same pairs is the oracle
     n = max(n, 3) if kind == "cycle" else n
-    g = generate(kind, n=n, m=m if kind == "complete_bipartite" else None)
+    g = generated(kind, n, m)
     assert_same_graph(g, Graph(*GENERATED[kind](n, m)))
 
 
@@ -1846,7 +1904,7 @@ def test_graph_names_a_bad_pair_alike_in_any_container(pair):
 
 
 def test_edge_list_readers_build_no_adjacency():
-    cases = [generate(kind, n=4, m=3 if kind == "complete_bipartite" else None) for kind in sorted(GENERATED)]
+    cases = [generated(kind, 4, 3) for kind in sorted(GENERATED)]
     for g in [*cases, Graph(6, [(0, 1), (1, 2), (4, 5)])]:
         text = serialize_graph(g)
         assert "_adjacency" not in vars(g)

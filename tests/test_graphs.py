@@ -19,7 +19,6 @@ from iasi import (
     complete_bipartite,
     components,
     cycle,
-    generate,
     path,
     star,
 )
@@ -87,24 +86,6 @@ def test_generator_shapes():
         complete_bipartite(0, 3)
     with pytest.raises(ValueError, match="^star needs at least one leaf$"):
         star(0)
-
-
-def test_generate_dispatch():
-    assert generate("cycle", n=5).edges == cycle(5).edges
-    assert generate("complete_bipartite", n=3, m=2).edges == complete_bipartite(2, 3).edges
-    with pytest.raises(ValueError):
-        generate("torus", n=3)
-    for kind in (["path"], None, 3):
-        with pytest.raises(ValueError, match="^unknown graph kind"):
-            generate(kind, n=3)
-    with pytest.raises(ValueError, match="^complete_bipartite needs --m and --n$"):
-        generate("complete_bipartite", n=3)
-    with pytest.raises(ValueError, match="^kind 'path' needs --n$"):
-        generate("path", m=9)
-    # only complete_bipartite reads m; the other kinds refuse it rather than drop it
-    for kind in ("path", "cycle", "complete", "star"):
-        with pytest.raises(ValueError, match=f"^kind '{kind}' does not read --m$"):
-            generate(kind, n=4, m=9)
 
 
 # --- components ----------------------------------------------------------------

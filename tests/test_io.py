@@ -39,6 +39,7 @@ from iasi import (
     serialize_report,
 )
 from iasi.compat import AUDITS
+from iasi.io import audit_lines
 from conftest import random_arith_labeling, random_graph
 
 
@@ -320,6 +321,15 @@ def test_profile_structured_rendering():
     assert "class.1=0,1;1,0" in lines
 
 
+def test_renderers_refuse_an_unknown_format():
+    with pytest.raises(ValueError, match="^unknown profile format 'yaml'$"):
+        serialize_profile(compat_partition((0, 1), (0, 2)), fmt="yaml")
+    # audit_lines is a generator: it refuses once it is read
+    lines = audit_lines([audit_point("T-NCC", (5, 3))], fmt="yaml")
+    with pytest.raises(ValueError, match="^unknown audit format 'yaml'$"):
+        list(lines)
+
+
 # --- audits --------------------------------------------------------------------------
 
 
@@ -363,7 +373,7 @@ def test_audit_structured_rendering():
 
 def test_audit_structured_records_repeat_no_key():
     # observed.histogram once, also where the prediction holds a histogram
-    for theorem, (members, _) in AUDITS.items():
+    for theorem, (members, _, _) in AUDITS.items():
         grid = dict.fromkeys(p[:members] for p in product(range(3, 9), range(3, 7), range(1, 5)))
         lines = serialize_audit(audit(theorem, grid), fmt="structured").splitlines()[:-1]
         audited = 0
